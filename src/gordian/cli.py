@@ -33,8 +33,6 @@ from .invariants import (
 from .moves import connected_sum, deconnect_sum, mirror, simplify_global
 from .search import SearchConfig, replay_line, run_pipeline
 
-BRACKET_SAFE = 22  # largest diagram the state sum accepts
-
 
 # ---------------------------------------------------------------------------
 # input resolution
@@ -89,15 +87,6 @@ def _load_table(args) -> list[KnotTableEntry]:
     return default_table()
 
 
-def _shrink(d: PDDiagram, budget: int, note: list[str]) -> PDDiagram:
-    """Simplify until the state sum can handle the diagram."""
-    if d.n <= BRACKET_SAFE:
-        return d
-    s = simplify_global(d, budget=budget, seed=0)
-    note.append(f"simplified from {d.n} to {s.n} crossings for evaluation")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -120,10 +109,6 @@ def cmd_convert(args) -> int:
 def cmd_invariants(args) -> int:
     table = _load_table(args)
     d = _resolve_input(args, table)
-    note: list[str] = []
-    d = _shrink(d, args.budget, note)
-    for line in note:
-        print(line)
     print(f"alexander: {alexander(d).render()}")
     print(f"jones: {jones(d).render()}")
     sig = signature(d)
@@ -147,10 +132,6 @@ def cmd_simplify(args) -> int:
 def cmd_identify(args) -> int:
     table = _load_table(args)
     d = _resolve_input(args, table)
-    note: list[str] = []
-    d = _shrink(d, args.budget, note)
-    for line in note:
-        print(line)
     fp = fingerprint(d, budget=args.budget)
     print(f"fingerprint: {fp.render()}")
     matches = identify(fp, table)
@@ -403,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="print the exact invariants")
     _add_input_args(p)
-    p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("simplify", help="shrink a diagram by Reidemeister moves")

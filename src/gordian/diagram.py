@@ -452,19 +452,3 @@ class Editor:
             for cid in order
         )
         return PDDiagram(crossings, self.free_loops)
-
-    def faces(self) -> list[list[Dart]]:
-        seen: set[Dart] = set()
-        out: list[list[Dart]] = []
-        for d0 in sorted(self.adj):
-            if d0 in seen:
-                continue
-            orbit: list[Dart] = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                orbit.append(d)
-                c, s = self.adj[d]
-                d = (c, (s + 1) % 4)
-            out.append(orbit)
-        return out

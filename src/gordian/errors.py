@@ -5,7 +5,8 @@ map them to exit codes without inspecting messages:
 
 * ``InputError``        -- malformed user input (bad code text, bad options)
 * ``UnrealizableError`` -- syntactically valid code with no planar diagram
-* ``ResourceError``     -- a configured cap (crossing count, budget) was hit
+* ``ResourceError``     -- a configured limit was hit (scramble size, flip
+                           count, bracket frontier states)
 * ``InternalError``     -- an invariant of the implementation itself broke
 """
 

@@ -1,11 +1,12 @@
 """Exact knot invariants: bracket, Jones, Seifert form, and derived data.
 
 Two independent computation routes are kept deliberately separate.  The
-Kauffman bracket route is a state sum over all smoothings (kernel in
-``_kernels``); the Seifert route builds an explicit Seifert matrix from a
-braid presentation and derives the Alexander polynomial, signature, and
-determinant from it.  ``V(-1)`` versus ``Alexander(-1)`` gives a cheap
-cross-check between the two, which the test suite exercises.
+Kauffman bracket route contracts the diagram crossing by crossing, keeping
+one polynomial per matching of the open edge ends; the Seifert route
+builds an explicit Seifert matrix from a braid presentation and derives
+the Alexander polynomial, signature, and determinant from it.
+``V(-1)`` versus ``Alexander(-1)`` gives a cheap cross-check between the
+two, which the test suite exercises.
 
 Chirality bookkeeping: a ``+1`` internal crossing is the closure of the
 one-letter braid ``[+1]``, and ``signature(torus_diagram(7)) == +6``.
@@ -19,17 +20,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import braid as braid_mod
-from ._kernels import loop_histogram
 from .braid import BraidWord, braid_closure, vogel_braid
-from .diagram import PDDiagram, in_slots
+from .diagram import Dart, PDDiagram, in_slots
 from .errors import InputError, InternalError, ResourceError
 from .laurent import LaurentPoly
 from .moves import simplify_global
 
-BRACKET_CAP = 22  # crossings; the state sum is 2**n
+# Live matchings on the contraction frontier.  Diagrams met in practice
+# stay far below this (a few thousand on a 10-strand, 100-letter braid);
+# the bound stops a pathological crossing order from exhausting memory.
+MAX_FRONTIER_STATES = 2**16
+
+# Slot pairings of the two smoothings, as partner tables.  The A-smoothing
+# joins the corners swept by rotating the over-strand counterclockwise onto
+# the under-strand; with slot 0 pinned to the incoming under-end this is
+# (1,2),(3,0) for both signs, and the B-smoothing is (0,1),(2,3).
+_SMOOTHINGS = (((3, 2, 1, 0), 1), ((1, 0, 3, 2), -1))  # (partner, A exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -37,72 +44,153 @@ BRACKET_CAP = 22  # crossings; the state sum is 2**n
 # ---------------------------------------------------------------------------
 
 
-def _smoothing_arrays(d: PDDiagram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = d.n
-    match = np.empty(4 * n, np.int32)
-    pa = np.empty(4 * n, np.int32)
-    pb = np.empty(4 * n, np.int32)
-    for tail, head in d.edge_ends.values():
-        ti = 4 * tail[0] + tail[1]
-        hi = 4 * head[0] + head[1]
-        match[ti] = hi
-        match[hi] = ti
-    for ci in range(n):
-        # The A-smoothing joins the corners swept by rotating the over-strand
-        # counterclockwise onto the under-strand.  With slot 0 pinned to the
-        # incoming under-end this is the same slot pairing for both signs.
-        a_pairs = ((1, 2), (3, 0))
-        b_pairs = ((0, 1), (2, 3))
-        for x, y in a_pairs:
-            pa[4 * ci + x] = 4 * ci + y
-            pa[4 * ci + y] = 4 * ci + x
-        for x, y in b_pairs:
-            pb[4 * ci + x] = 4 * ci + y
-            pb[4 * ci + y] = 4 * ci + x
-    return match, pa, pb
+def _contraction_order(d: PDDiagram) -> list[int]:
+    """Crossings in the order they join the contracted region.
+
+    Greedy: adding a crossing grows the frontier by ``4 - gain``, where
+    each edge end that meets the region adds 2 to the gain and each end of
+    a kink adds 1.  The next crossing is the one of highest gain, ties to
+    the lowest index.
+    """
+    partner = d.dart_partner
+    gain = [
+        sum(1 for s in range(4) if partner[(c, s)][0] == c) for c in range(d.n)
+    ]
+    todo = set(range(d.n))
+    order: list[int] = []
+    while todo:
+        c = max(todo, key=lambda x: (gain[x], -x))
+        todo.remove(c)
+        order.append(c)
+        for s in range(4):
+            nb = partner[(c, s)][0]
+            if nb in todo:
+                gain[nb] += 2
+    return order
 
 
-def kauffman_bracket(
-    d: PDDiagram, *, cap: int = BRACKET_CAP, backend: str | None = None
-) -> LaurentPoly:
+def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
     """The bracket polynomial in the smoothing variable ``A``.
 
     Normalised so a single free loop has bracket 1 and a positive kink
     multiplies by ``-A**3``.
+
+    Computed by planar contraction: crossings join a growing region one at
+    a time, and the state maps each perfect matching of the edge ends on
+    the region's frontier (how the smoothed strands inside connect them) to
+    a Laurent polynomial in ``A``.  Each added crossing splits every state
+    into its two smoothings, each loop that closes multiplies by
+    ``delta = -A**2 - A**-2``, and equal matchings merge.  The cost is
+    governed by the number of matchings, not by ``2**n``.
     """
     delta = LaurentPoly({2: -1, -2: -1})
     if d.n == 0:
         if d.free_loops == 0:
             raise InputError("empty diagram has no bracket")
         return delta ** (d.free_loops - 1)
-    if d.n > cap:
-        raise ResourceError(
-            f"bracket state sum over {d.n} crossings exceeds the cap of {cap}"
-        )
-    hist = loop_histogram(*_smoothing_arrays(d), d.n, backend)
-    max_loops = hist.shape[1] - 1
-    delta_pow = [LaurentPoly.one()]
-    for _ in range(max_loops + d.free_loops):
-        delta_pow.append(delta_pow[-1] * delta)
-    total = LaurentPoly.zero()
-    for a in range(hist.shape[0]):
-        for loops in range(1, hist.shape[1]):
-            count = int(hist[a, loops])
-            if count:
-                mono = LaurentPoly({2 * a - d.n: count})
-                total = total + mono * delta_pow[loops - 1 + d.free_loops]
-    return total
+    delta_pow = [((0, 1),), delta.terms, (delta * delta).terms]
+    partner = d.dart_partner
+    frontier: list[Dart] = []  # dangling edge ends of the region, by position
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for c in _contraction_order(d):
+        at = {dart: i for i, dart in enumerate(frontier)}
+        # Where each slot's edge leads: an old frontier position, another
+        # slot of this crossing (a kink), or a new frontier end.
+        link = [0] * 4
+        is_fresh = [False] * 4
+        slot_at = [-1] * len(frontier)  # old position -> slot it ends at
+        fresh: list[Dart] = []
+        for s in range(4):
+            p = partner[(c, s)]
+            if p in at:
+                link[s] = at[p]
+                slot_at[at[p]] = s
+            elif p[0] == c:
+                link[s] = -1 - p[1]
+            else:
+                is_fresh[s] = True
+                fresh.append((c, s))
+        kept = [i for i in range(len(frontier)) if slot_at[i] < 0]
+        renumber = [-1] * len(frontier)
+        for k, i in enumerate(kept):
+            renumber[i] = k
+        for k, (_, s) in enumerate(fresh):
+            link[s] = len(kept) + k
+        frontier = [frontier[i] for i in kept] + fresh
+        pad = [-1] * (len(frontier) - len(kept))
+        merged: dict[tuple[int, ...], dict[int, int]] = {}
+        for m, poly in states.items():
+            # outer[s]: where the strand leaving slot s outward ends, as a
+            # new frontier index (>= 0) or as slot t (-1 - t).
+            outer = [0] * 4
+            for s in range(4):
+                ln = link[s]
+                if ln < 0 or is_fresh[s]:
+                    outer[s] = ln
+                else:
+                    q = m[ln]
+                    outer[s] = renumber[q] if slot_at[q] < 0 else -1 - slot_at[q]
+            base = [renumber[m[i]] for i in kept] + pad
+            for smooth, a_exp in _SMOOTHINGS:
+                nm = base[:]
+                seen = [False] * 4
+                for s in range(4):
+                    if seen[s] or outer[s] < 0:
+                        continue
+                    seen[s] = True
+                    t = smooth[s]
+                    while True:
+                        seen[t] = True
+                        o = outer[t]
+                        if o >= 0:
+                            break
+                        t = -1 - o
+                        seen[t] = True
+                        t = smooth[t]
+                    nm[outer[s]] = o
+                    nm[o] = outer[s]
+                loops = 0
+                for s in range(4):
+                    if seen[s]:
+                        continue
+                    loops += 1
+                    t = s
+                    while not seen[t]:
+                        seen[t] = True
+                        u = smooth[t]
+                        seen[u] = True
+                        t = -1 - outer[u]
+                key = tuple(nm)
+                acc = merged.get(key)
+                if acc is None:
+                    acc = merged[key] = {}
+                for de, dc in delta_pow[loops]:
+                    shift = a_exp + de
+                    for e, coeff in poly.items():
+                        e += shift
+                        acc[e] = acc.get(e, 0) + coeff * dc
+            if len(merged) > MAX_FRONTIER_STATES:
+                raise ResourceError(
+                    f"bracket contraction over {d.n} crossings needs more than "
+                    f"{MAX_FRONTIER_STATES} frontier states"
+                )
+        states = merged
+    if frontier or len(states) != 1:
+        raise InternalError("contraction left open edge ends")
+    # Every loop, including the last, was counted as a factor delta.
+    total = LaurentPoly(states[()])
+    if d.free_loops:
+        return total * delta ** (d.free_loops - 1)
+    return total.exact_div(delta)
 
 
-def jones(
-    d: PDDiagram | BraidWord, *, cap: int = BRACKET_CAP, backend: str | None = None
-) -> LaurentPoly:
+def jones(d: PDDiagram | BraidWord) -> LaurentPoly:
     """Jones polynomial of a knot diagram, in ``t``."""
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("jones expects a one-component diagram")
-    bracket = kauffman_bracket(d, cap=cap, backend=backend)
+    bracket = kauffman_bracket(d)
     w = d.writhe
     f = bracket.shift(-3 * w)
     if w % 2:
@@ -473,16 +561,18 @@ def fingerprint(
     seed: int = 0,
     budget: int = FINGERPRINT_BUDGET,
 ) -> Fingerprint:
-    """Invariant fingerprint of a knot, computed on a simplified diagram."""
+    """Invariant fingerprint of a knot, computed on a simplified diagram.
+
+    Simplifying first keeps the Vogel braid behind the Seifert route short
+    and records ``min_crossings_seen``; no invariant depends on it.  The
+    bracket contraction raises ``ResourceError`` only past
+    ``MAX_FRONTIER_STATES`` live frontier states.
+    """
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("fingerprint expects a one-component diagram")
     small = simplify_global(d, budget=budget, seed=seed)
-    if small.n > BRACKET_CAP:
-        raise ResourceError(
-            f"diagram still has {small.n} crossings after simplification"
-        )
     return Fingerprint(
         alexander=alexander(small) if small.n else LaurentPoly.one(),
         jones=jones(small),

@@ -113,9 +113,9 @@ def run_pipeline(
 ) -> list[SearchHit]:
     """Run all trials; emit one log line per trial via ``log``; return hits.
 
-    Trials that exhaust a resource limit (scramble too large, state sum
-    over the crossing cap) are skipped, not fatal: the log line carries the
-    error type and the search moves on.
+    Trials that exhaust a resource limit (scramble too large, too few
+    letters to flip, bracket frontier too wide) are skipped, not fatal: the
+    log line carries the error type and the search moves on.
     """
     if table is None:
         table = default_table()

@@ -37,6 +37,56 @@ def random_knot_diagram(rng: random.Random, max_crossings: int = 12):
 
 
 # ---------------------------------------------------------------------------
+# Independent bracket oracle (state sum over all 2**n smoothings)
+# ---------------------------------------------------------------------------
+
+STATE_SUM_MAX_CROSSINGS = 15
+
+
+def state_sum_bracket(d) -> LaurentPoly:
+    """Kauffman bracket as the sum over every smoothing state.
+
+    Each state is a bitmask (bit ``c`` set: A-smoothing at crossing ``c``),
+    and its loops are counted by walking darts.  Exponential, so it only
+    accepts small diagrams; it shares nothing with the package's planar
+    contraction except the diagram's dart pairing and Laurent arithmetic.
+    """
+    n = d.n
+    assert 1 <= n <= STATE_SUM_MAX_CROSSINGS, "oracle is for small diagrams"
+    match = [0] * (4 * n)
+    for tail, head in d.edge_ends.values():
+        ti, hi = 4 * tail[0] + tail[1], 4 * head[0] + head[1]
+        match[ti], match[hi] = hi, ti
+    # A-smoothing pairs slots (1,2),(3,0); B-smoothing pairs (0,1),(2,3).
+    pa = [4 * (i >> 2) + (3, 2, 1, 0)[i & 3] for i in range(4 * n)]
+    pb = [4 * (i >> 2) + (1, 0, 3, 2)[i & 3] for i in range(4 * n)]
+    hist: dict[tuple[int, int], int] = {}
+    stamp = [-1] * (4 * n)
+    for state in range(1 << n):
+        loops = 0
+        for d0 in range(4 * n):
+            if stamp[d0] == state:
+                continue
+            loops += 1
+            x = d0
+            while stamp[x] != state:
+                stamp[x] = state
+                e = match[x]
+                stamp[e] = state
+                x = pa[e] if (state >> (e >> 2)) & 1 else pb[e]
+        key = (bin(state).count("1"), loops)
+        hist[key] = hist.get(key, 0) + 1
+    delta = LaurentPoly({2: -1, -2: -1})
+    total = LaurentPoly.zero()
+    for (a, loops), count in hist.items():
+        b = n - a
+        total = total + LaurentPoly({a - b: count}) * delta ** (
+            loops - 1 + d.free_loops
+        )
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Independent Alexander oracle (Burau matrices)
 # ---------------------------------------------------------------------------
 

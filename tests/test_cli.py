@@ -2,8 +2,13 @@
 
 import pytest
 
+from gordian import invariants
 from gordian.cli import main
+from gordian.codes import realize_dt
 from gordian.identify import default_table, save_table
+from gordian.invariants import alexander, jones
+from gordian.laurent import LaurentPoly
+from gordian.moves import mirror
 
 
 def run(capsys, *argv):
@@ -82,6 +87,33 @@ def test_name_expression_mirror_and_sum(capsys):
     assert "signature: +0" in out
     assert "determinant: 49" in out
     assert "murasugi bound: u >= 0" in out
+
+
+def test_invariants_of_30_crossing_sum_multiply(capsys):
+    # 30 crossings, evaluated as given: the invariants of a connected sum
+    # are the products of the summands' invariants.
+    code, out, _ = run(capsys, "invariants", "--name", "7_1#~7_1#7_1")
+    assert code == 0
+    assert "simplified from" not in out
+    fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    table = default_table()
+    k = realize_dt(next(e for e in table if e.name == "7_1").dt)
+    summands = (k, mirror(k), k)
+    alex = jones_product = LaurentPoly.one()
+    for d in summands:
+        alex = alex * alexander(d)
+        jones_product = jones_product * jones(d)
+    assert fields["alexander"] == alex.render()
+    assert fields["jones"] == jones_product.render()
+    assert fields["determinant"] == "343"
+
+
+def test_frontier_state_bound_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", 4)
+    code, _, err = run(capsys, "invariants", "--name", "7_1#~7_1#7_1")
+    assert code == 1
+    assert err.startswith("resource limit: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_name_lists_table(capsys):

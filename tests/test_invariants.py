@@ -4,14 +4,23 @@ The Alexander polynomial has two fully independent routes here: the
 package computes it from Seifert matrices of braided diagrams, while the
 test oracle (``burau_alexander`` in conftest) multiplies Burau matrices.
 Determinants likewise cross two routes: Seifert/Alexander on one side and
-the Kauffman bracket (Jones at -1) on the other.
+the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
+computed by planar contraction, is checked against the 2**n state sum
+(``state_sum_bracket`` in conftest).
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gordian.braid import BraidWord, braid_closure
 from gordian.codes import parse_dt, realize_dt
-from gordian.errors import InputError, ResourceError
+from gordian.diagram import PDDiagram
+from gordian.errors import InputError
+from gordian.identify import default_table
 from gordian.invariants import (
     alexander,
     determinant,
@@ -27,7 +36,12 @@ from gordian.invariants import (
 )
 from gordian.laurent import LaurentPoly
 from gordian.moves import backtrack_randomize, crossing_change, simplify_global
-from tests.conftest import burau_alexander, random_knot_diagram, random_knot_word
+from tests.conftest import (
+    burau_alexander,
+    random_knot_diagram,
+    random_knot_word,
+    state_sum_bracket,
+)
 
 TREFOIL = BraidWord.from_letters((1, 1, 1), 2)
 FIGURE_EIGHT = BraidWord.from_letters((1, -2, 1, -2), 3)
@@ -124,8 +138,6 @@ def test_jones_of_unknot_diagrams_is_one(rng):
 
 
 def test_bracket_base_cases():
-    from gordian.diagram import PDDiagram
-
     assert kauffman_bracket(PDDiagram((), 1)) == LaurentPoly.one()
     assert kauffman_bracket(PDDiagram((), 3)) == LaurentPoly({2: -1, -2: -1}) ** 2
     with pytest.raises(InputError):
@@ -137,27 +149,59 @@ def test_bracket_base_cases():
     assert kauffman_bracket(neg_kink) == poly((-3, -1))
 
 
-def test_bracket_cap_is_enforced():
-    big = braid_closure(BraidWord.from_letters((1,) * 23, 2))
-    with pytest.raises(ResourceError):
-        kauffman_bracket(big)
-
-
-def test_bracket_backends_agree(rng):
-    from gordian import _kernels
-
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba backend not installed")
-    for _ in range(10):
+def test_bracket_matches_state_sum_oracle(rng):
+    for _ in range(40):
         d = random_knot_diagram(rng, max_crossings=12)
-        assert kauffman_bracket(d, backend="numpy") == kauffman_bracket(
-            d, backend="numba"
-        )
+        assert kauffman_bracket(d) == state_sum_bracket(d), d.crossings
 
 
-def test_bracket_backend_argument_is_validated():
-    with pytest.raises(InputError):
-        kauffman_bracket(braid_closure(TREFOIL), backend="fortran")
+def test_bracket_matches_state_sum_oracle_on_table_knots():
+    for entry in default_table():
+        d = realize_dt(entry.dt)
+        if d.n:
+            assert kauffman_bracket(d) == state_sum_bracket(d), entry.name
+
+
+def test_bracket_of_split_and_looped_diagrams():
+    # A free loop beside crossings multiplies by delta; the contraction
+    # also handles a crossing graph in several pieces.
+    delta = LaurentPoly({2: -1, -2: -1})
+    trefoil = braid_closure(TREFOIL)
+    looped = PDDiagram(trefoil.crossings, 1)
+    assert kauffman_bracket(looped) == kauffman_bracket(trefoil) * delta
+    split = braid_closure(BraidWord.from_letters((1, 1, 1, -3, -3, -3), 4))
+    assert kauffman_bracket(split) == state_sum_bracket(split)
+
+
+@pytest.mark.parametrize("n", [7, 23, 25])
+def test_jones_of_torus_knots_matches_closed_form(n):
+    # V(T(2,n)) = t^((n-1)/2) * (1 + t^2 - t^3 + t^4 - ... - t^n), n odd;
+    # 23 and 25 crossings are far beyond what a 2**n state sum could do.
+    expected = {(n - 1) // 2: 1}
+    for k in range(2, n + 1):
+        expected[(n - 1) // 2 + k] = (-1) ** k
+    assert jones(braid_closure(BraidWord.from_letters((1,) * n, 2))) == LaurentPoly(
+        expected
+    )
+
+
+def test_jones_leaves_numpy_unimported():
+    code = (
+        "import sys, gordian\n"
+        "gordian.jones(gordian.BraidWord.from_letters((1, -2, 1, -2)))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +319,6 @@ def test_torus_cascade_step():
 
 
 def test_wirtinger_presentations():
-    from gordian.diagram import PDDiagram
-
     w0 = wirtinger(PDDiagram((), 1))
     assert w0.generators == ("a",)
     assert w0.relators == ()
