@@ -29,7 +29,8 @@ from .identify import (
     identify,
     same_knot_evidence,
 )
-from .invariants import Fingerprint, fingerprint
+from .invariants import Fingerprint, fingerprint, wirtinger
+from .moves import deconnect_sum, simplify_global
 
 Presentation = DTCode | BraidWord
 
@@ -91,12 +92,15 @@ class CertificateReport:
     bound: int
     steps: tuple[StepReport, ...]
 
+    def summary(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return f"certificate: {verdict}, total crossing changes = {self.bound}"
+
     def render(self) -> str:
         out = []
         for s in self.steps:
             out.extend(s.lines)
-        verdict = "PASS" if self.passed else "FAIL"
-        out.append(f"certificate: {verdict}, total crossing changes = {self.bound}")
+        out.append(self.summary())
         return "\n".join(out)
 
 
@@ -134,7 +138,8 @@ def check_certificate(
     for i, step in enumerate(cert.steps):
         lines = [f"step {i + 1}: {_render_presentation(step.presentation)}"]
         ok = True
-        before = fingerprint(_realize(step.presentation))
+        if prev_after is not None or step.claimed_before is not None:
+            before = fingerprint(_realize(step.presentation))
         if prev_after is not None:
             ev = same_knot_evidence(prev_after, before)
             if ev.passed:
@@ -181,6 +186,41 @@ def check_certificate(
 BASE_BRAID = BraidWord.from_letters(
     (1, -4, 2, 3, 3, 3, 2, 3, 2, 2, 4, -3, -3, -3, -3, -1, -3, -2, -3, -3)
 )
+
+
+def paper_summands(table: list[KnotTableEntry]) -> tuple[bool, list[str]]:
+    """Check that the closure of ``BASE_BRAID``, where the paper certificate
+    starts, splits into two 7-crossing summands: 7_1 and its mirror.
+
+    Returns the verdict and the transcript lines.
+    """
+    lines = ["First braid word (for L) is", render_braid(BASE_BRAID)]
+    d = braid_closure(BASE_BRAID)
+    s = simplify_global(d, seed=0)
+    lines.append(f"closure of L has {d.n} crossings; simplified to {s.n}")
+    parts = sorted(deconnect_sum(s), key=lambda p: p.n)
+    counts = [p.n for p in parts]
+    lines.append(f"summands of the closure, by crossing count: {counts}")
+    if counts != [7, 7]:
+        lines.append("  FAIL: expected two 7-crossing summands")
+        return False, lines
+    ok = True
+    fps = []
+    for i, p in enumerate(parts, start=1):
+        fps.append(fingerprint(p))
+        ok &= _check_claim(fps[-1], "7_1", table, f"summand {i}", lines)
+        wp = wirtinger(p)
+        lines.append(
+            f"  knot group of summand {i}: {len(wp.generators)} generators, "
+            f"{len(wp.relators)} relators, abelianized rank "
+            f"{wp.abelianized_rank()}"
+        )
+    mirror_pair = fps[0] == fps[1].mirrored() and fps[0] != fps[1]
+    lines.append(
+        "  the summands are mirror partners: "
+        + ("PASS" if mirror_pair else "FAIL")
+    )
+    return ok and mirror_pair, lines
 
 
 def paper_certificate() -> UnknottingCertificate:
@@ -293,9 +333,10 @@ def parse_certificate(text: str) -> UnknottingCertificate:
         else:
             raise InputError(f"presentation must be DT:[...] or BRAID:[...], got {ptext!r}")
         flips = block.pop("flip", "")
-        indices = frozenset(
-            int(tok) for tok in flips.replace(",", " ").split()
-        )
+        try:
+            indices = frozenset(int(tok) for tok in flips.replace(",", " ").split())
+        except ValueError:
+            raise InputError(f"flip indices must be integers, got {flips!r}") from None
         before = block.pop("before", None)
         after = block.pop("after", None)
         if block:

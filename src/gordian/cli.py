@@ -9,18 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braid import braid_closure, flip_letters, parse_braid, render_braid, vogel_braid
-from .certify import BASE_BRAID, check_certificate, paper_certificate
-from .codes import flip_entries, parse_dt, pd_to_dt, realize_dt, render_dt
+from .braid import braid_closure, parse_braid, render_braid, vogel_braid
+from .certify import check_certificate, paper_certificate, paper_summands
+from .codes import parse_dt, pd_to_dt, realize_dt, render_dt
 from .diagram import PDDiagram, pd_to_text
-from .errors import InputError, ResourceError, UnrealizableError
-from .identify import (
-    KnotTableEntry,
-    default_table,
-    identify,
-    load_table,
-    same_knot_evidence,
-)
+from .errors import InputError, InternalError, ResourceError, UnrealizableError
+from .identify import KnotTableEntry, default_table, identify, load_table
 from .invariants import (
     alexander,
     determinant,
@@ -28,9 +22,8 @@ from .invariants import (
     jones,
     murasugi_bound,
     signature,
-    wirtinger,
 )
-from .moves import connected_sum, deconnect_sum, mirror, simplify_global
+from .moves import connected_sum, mirror, simplify_global
 from .search import SearchConfig, replay_line, run_pipeline
 
 
@@ -145,15 +138,19 @@ def cmd_identify(args) -> int:
 def _read_config_file(path: str) -> dict[str, str]:
     """Flat ``key=value`` lines; blank lines and # comments are skipped."""
     options: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"config line {lineno} is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            options[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config file: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"config line {lineno} is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        options[key.strip()] = value.strip()
     allowed = {
         "seed",
         "trials",
@@ -176,7 +173,12 @@ def _merge_search_config(args) -> SearchConfig:
         if cli_value is not None:
             return cli_value
         if key in opts:
-            return cast(opts[key])
+            try:
+                return cast(opts[key])
+            except ValueError:
+                raise InputError(
+                    f"config {key}={opts[key]!r} is not an integer"
+                ) from None
         return default
 
     seed = pick(args.seed, "seed", None)
@@ -211,144 +213,20 @@ def cmd_search(args) -> int:
 # the bundled verification sequence
 # ---------------------------------------------------------------------------
 
-_KA = "DT:[4, -16, 24, 26, 18, 20, 28, 22, -2, 10, 12, 30, 6, 8, 14]"
-_KC = "DT:[4, 12, -24, 14, 18, 2, 20, 26, 8, 10, -28, -30, 16, -6, -22]"
-
-
-def _bare(code) -> str:
-    return "[" + ", ".join(str(e) for e in code.entries) + "]"
-
-
-def _claim(fp, expected: str, table, label: str, lines: list[str]) -> bool:
-    matches = identify(fp, table)
-    for name, chirality in matches:
-        if name == expected:
-            lines.append(f"{label}: {name} ({chirality}) [fingerprint evidence]")
-            return True
-    found = ", ".join(f"{n} ({c})" for n, c in matches) or "no table match"
-    lines.append(f"{label}: FAIL, expected {expected} but found {found}")
-    return False
-
-
-def _equal_check(fa, fb, label: str, lines: list[str]) -> bool:
-    ev = same_knot_evidence(fa, fb)
-    lines.append(f"check: {label}: {ev.verdict} (fingerprint evidence)")
-    if not ev.passed:
-        for name, left, right in ev.comparisons:
-            if left != right:
-                lines.append(f"  mismatched {name}: {left} != {right}")
-    return ev.passed
-
-
-def _step_1(table) -> tuple[bool, list[str]]:
-    lines = ["First braid word (for L) is", render_braid(BASE_BRAID)]
-    d = braid_closure(BASE_BRAID)
-    s = simplify_global(d, seed=0)
-    lines.append(f"closure of L has {d.n} crossings; simplified to {s.n}")
-    parts = sorted(deconnect_sum(s), key=lambda p: p.n)
-    lines.append(
-        "summands of the closure, by crossing count: "
-        f"{[p.n for p in parts]}"
-    )
-    ok = [p.n for p in parts] == [7, 7]
-    if not ok:
-        lines.append("check: expected two 7-crossing summands: FAIL")
-        return False, lines
-    fps = []
-    for i, p in enumerate(parts, start=1):
-        fp = fingerprint(p)
-        fps.append(fp)
-        ok &= _claim(fp, "7_1", table, f"summand {i}", lines)
-        wp = wirtinger(p)
-        lines.append(
-            f"knot group of summand {i}: {len(wp.generators)} generators, "
-            f"{len(wp.relators)} relators, abelianized rank "
-            f"{wp.abelianized_rank()}"
-        )
-    ev = same_knot_evidence(fps[0], fps[1])
-    mirror_pair = fps[0] == fps[1].mirrored() and fps[0] != fps[1]
-    lines.append(
-        "check: the summands are mirror partners: "
-        + ("PASS" if mirror_pair else f"FAIL ({ev.verdict})")
-    )
-    ok &= mirror_pair
-    return ok, lines
-
-
-def _step_2(table) -> tuple[bool, list[str]]:
-    la = flip_letters(BASE_BRAID, (0, 1))
-    lines = ["Second braid word (for LA) is", render_braid(la)]
-    fp_la = fingerprint(braid_closure(la))
-    ok = _claim(fp_la, "K14a18636", table, "LA", lines)
-    ka = parse_dt(_KA)
-    lines += ["DT code for KA is", _bare(ka)]
-    fp_ka = fingerprint(realize_dt(ka))
-    ok &= _equal_check(fp_la, fp_ka, "closure of LA matches KA", lines)
-    kb = flip_entries(ka, {0})
-    lines += ["DT code for KB (KA with crossing 0 changed) is", _bare(kb)]
-    ok &= _claim(fingerprint(realize_dt(kb)), "K15n81556", table, "KB", lines)
-    return ok, lines
-
-
-def _step_3(table) -> tuple[bool, list[str]]:
-    kb = flip_entries(parse_dt(_KA), {0})
-    kc = parse_dt(_KC)
-    lines = ["DT code for KC is", _bare(kc)]
-    fp_kc = fingerprint(realize_dt(kc))
-    ok = _claim(fp_kc, "K15n81556", table, "KC", lines)
-    ok &= _equal_check(
-        fingerprint(realize_dt(kb)), fp_kc, "KB matches KC", lines
-    )
-    kd = flip_entries(kc, {6})
-    lines += ["DT code for KD (KC with crossing 6 changed) is", _bare(kd)]
-    ok &= _claim(fingerprint(realize_dt(kd)), "K12n412", table, "KD", lines)
-    return ok, lines
-
-
-def _step_4(table) -> tuple[bool, list[str]]:
-    kd = flip_entries(parse_dt(_KC), {6})
-    ke = flip_entries(kd, {13})
-    lines = ["DT code for KE (KD with crossing 13 changed) is", _bare(ke)]
-    d = realize_dt(ke)
-    s = simplify_global(d, seed=0)
-    lines.append(f"KE simplifies from {d.n} crossings to {s.n}")
-    ok = s.n == 0
-    if not ok:
-        lines.append("check: KE reduces to the 0-crossing diagram: FAIL")
-        return False, lines
-    wp = wirtinger(s)
-    gens = ", ".join(wp.generators)
-    lines.append(
-        f"knot group of KE: generators {gens}; relators: "
-        + (f"{len(wp.relators)}" if wp.relators else "(none)")
-    )
-    ok &= _claim(fingerprint(d), "unknot", table, "KE", lines)
-    return ok, lines
-
-
-_STEPS = {1: _step_1, 2: _step_2, 3: _step_3, 4: _step_4}
-
 
 def cmd_verify_paper(args) -> int:
     table = _load_table(args)
-    if args.step is not None:
-        ok, lines = _STEPS[args.step](table)
-        for line in lines:
-            print(line)
-        print(f"step {args.step}: " + ("PASS" if ok else "FAIL"))
-        return 0 if ok else 1
-    all_ok = True
-    for n in (1, 2, 3, 4):
-        print(f"== step {n} ==")
-        ok, lines = _STEPS[n](table)
-        for line in lines:
-            print(line)
-        all_ok &= ok
-    print("== certificate ==")
+    print("== summands ==")
+    summands_ok, lines = paper_summands(table)
+    for line in lines:
+        print(line)
     report = check_certificate(paper_certificate(), table)
-    print(report.render())
-    all_ok &= report.passed and report.bound == 5
-    if all_ok:
+    for step in report.steps:
+        print(f"== step {step.index + 1} ==")
+        for line in step.lines:
+            print(line)
+    print(report.summary())
+    if summands_ok and report.passed and report.bound == 5:
         print("bound: u(7_1 # mirror 7_1) <= 5")
         return 0
     print("bound not established")
@@ -402,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-verify the bundled unknotting chain for 7_1 # mirror 7_1",
     )
     p.add_argument("--table", help="path to a knot table file")
-    p.add_argument("--step", type=int, choices=(1, 2, 3, 4))
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("search", help="randomized crossing-change search")
@@ -430,6 +307,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -76,13 +76,6 @@ class Crossing:
     edges: tuple[int, int, int, int]
     sign: int
 
-    def slot_of(self, edge: int, incoming: bool) -> int:
-        slots = in_slots(self.sign) if incoming else out_slots(self.sign)
-        for s in slots:
-            if self.edges[s] == edge:
-                return s
-        raise InternalError(f"edge {edge} not at expected slots of {self}")
-
 
 @dataclass(frozen=True)
 class PDDiagram:

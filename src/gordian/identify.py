@@ -54,34 +54,38 @@ class KnotTableEntry:
         return frozenset((self.fingerprint, self.fingerprint_mirror))
 
 
-def build_table(entries: list[tuple[str, DTCode]]) -> list[KnotTableEntry]:
-    """Fingerprint each code; reject collisions and inconsistent duplicates.
+def _admit(table: list[KnotTableEntry], entry: KnotTableEntry) -> None:
+    """Add ``entry`` to ``table`` under the rules every table obeys.
 
-    Two different names with overlapping fingerprint pairs would make every
+    Repeated names must agree, and then collapse to the first entry.  Two
+    different names with overlapping fingerprint pairs would make every
     identification ambiguous, so that is a hard failure rather than a
-    warning.  Repeated names must agree (their diagrams collapse to one
-    entry).
+    warning.
     """
+    existing = next((e for e in table if e.name == entry.name), None)
+    if existing is not None:
+        if existing.pair() != entry.pair():
+            raise InputError(
+                f"duplicate name {entry.name} with different fingerprints"
+            )
+        return
+    for other in table:
+        if entry.pair() & other.pair():
+            raise InputError(
+                f"fingerprint collision between {other.name} and {entry.name}"
+            )
+    table.append(entry)
+
+
+def build_table(entries: list[tuple[str, DTCode]]) -> list[KnotTableEntry]:
+    """Fingerprint each code; reject collisions and inconsistent duplicates."""
     table: list[KnotTableEntry] = []
     for name, code in entries:
         try:
             fp = fingerprint(realize_dt(code))
         except Exception as exc:
             raise InputError(f"table entry {name}: {exc}") from exc
-        entry = KnotTableEntry(name, code, fp, fp.mirrored())
-        existing = next((e for e in table if e.name == name), None)
-        if existing is not None:
-            if existing.pair() != entry.pair():
-                raise InputError(
-                    f"table entry {name}: two codes with different fingerprints"
-                )
-            continue
-        for other in table:
-            if entry.pair() & other.pair():
-                raise InputError(
-                    f"fingerprint collision between {other.name} and {name}"
-                )
-        table.append(entry)
+        _admit(table, KnotTableEntry(name, code, fp, fp.mirrored()))
     return table
 
 
@@ -172,22 +176,25 @@ def load_table(path: str) -> list[KnotTableEntry]:
     """Read a table file, recomputing fingerprints to detect corruption.
 
     Fingerprints in the file are never trusted: each is recomputed from
-    the stored DT code, and any mismatch raises an integrity error.
+    the stored DT code, and any mismatch raises an integrity error.  The
+    entries are then admitted under the same rules as ``build_table``.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read table file: {exc}") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise InputError(
-                    f"table integrity: line {lineno} has {len(fields)} fields"
-                )
-            rows.append((lineno, fields))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise InputError(
+                f"table integrity: line {lineno} has {len(fields)} fields"
+            )
+        rows.append((lineno, fields))
     table: list[KnotTableEntry] = []
-    seen_names: dict[str, KnotTableEntry] = {}
     for lineno, (name, dt_text, fp_text, fpm_text) in rows:
         code = parse_dt(dt_text)
         fp = fingerprint(realize_dt(code))
@@ -197,20 +204,8 @@ def load_table(path: str) -> list[KnotTableEntry]:
                 f"table integrity: line {lineno} ({name}) does not match "
                 "its recomputed fingerprint"
             )
-        entry = KnotTableEntry(name, code, fp, fpm)
-        if name in seen_names:
-            if seen_names[name].pair() != entry.pair():
-                raise InputError(
-                    f"table integrity: duplicate name {name} with different "
-                    "fingerprints"
-                )
-            continue
-        for other in table:
-            if entry.pair() & other.pair():
-                raise InputError(
-                    f"table integrity: fingerprint collision between "
-                    f"{other.name} and {name}"
-                )
-        seen_names[name] = entry
-        table.append(entry)
+        try:
+            _admit(table, KnotTableEntry(name, code, fp, fpm))
+        except InputError as exc:
+            raise InputError(f"table integrity: line {lineno}: {exc}") from None
     return table

@@ -23,7 +23,6 @@ from .diagram import (
     Dart,
     Editor,
     PDDiagram,
-    in_slots,
     out_slots,
 )
 from .errors import InputError, InternalError

@@ -40,6 +40,12 @@ class SearchConfig:
     max_crossings_for_id: int = 16
     targets: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in ("trials", "k_changes", "n_backtrack", "max_crossings_for_id"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InputError(f"{name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class SearchHit:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gordian import certify
 from gordian.braid import BraidWord
 from gordian.certify import (
     BASE_BRAID,
@@ -18,6 +19,7 @@ from gordian.certify import (
 from gordian.codes import parse_dt
 from gordian.errors import InputError
 from gordian.identify import default_table
+from gordian.invariants import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +27,27 @@ def table():
     return default_table()
 
 
-def test_paper_certificate_passes(table):
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """The diagrams ``check_certificate`` fingerprints, in call order."""
+    calls = []
+
+    def counting(d, *args, **kwargs):
+        calls.append(d)
+        return fingerprint(d, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "fingerprint", counting)
+    return calls
+
+
+def test_paper_certificate_passes(table, fingerprint_calls):
     report = check_certificate(paper_certificate(), table)
     assert report.passed
     assert report.bound == 5
     assert len(report.steps) == 4
+    # Four results plus the three presentations compared with the previous
+    # step's result; the base closure itself is never fingerprinted.
+    assert len(fingerprint_calls) == 7
     text = report.render()
     assert "PASS, total crossing changes = 5" in text
     assert "reduces to the 0-crossing unknot diagram" in text
@@ -41,12 +59,16 @@ def test_adjacency_certificate_passes(table):
     assert report.bound == 1
 
 
-def test_torus_cascades(table):
+def test_torus_cascades(table, fingerprint_calls):
     assert check_certificate(torus_cascade_certificate(3), table).bound == 0
     for k in (4, 5):
+        fingerprint_calls.clear()
         report = check_certificate(torus_cascade_certificate(k), table)
         assert report.passed, report.render()
         assert report.bound == k - 3
+        # One result per step and one presentation per continuation; the
+        # first, largest torus knot is never fingerprinted.
+        assert len(fingerprint_calls) == 2 * (k - 3) - 1
     mirrored = check_certificate(
         torus_cascade_certificate(4, mirror=True), table
     )
@@ -168,6 +190,8 @@ def test_parse_certificate_errors():
         parse_certificate(
             "step:\npresentation: DT:[4, 6, 2]\nflip: 0\nflip: 1\n"
         )
+    with pytest.raises(InputError, match="flip indices"):
+        parse_certificate("step:\npresentation: DT:[4, 6, 2]\nflip: 0, x\n")
 
 
 def test_parse_certificate_ignores_comments_and_blanks():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from gordian import invariants
+from gordian import cli, invariants
 from gordian.cli import main
 from gordian.codes import realize_dt
+from gordian.errors import InternalError
 from gordian.identify import default_table, save_table
 from gordian.invariants import alexander, jones
 from gordian.laurent import LaurentPoly
@@ -123,25 +124,43 @@ def test_unknown_name_lists_table(capsys):
     assert "7_1" in err
 
 
-def test_verify_paper_step_4(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--step", "4")
-    assert code == 0
-    assert "KE simplifies from 15 crossings to 0" in out
-    assert "step 4: PASS" in out
-
-
 def test_verify_paper_full_transcript(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
+    headers = [line for line in out.splitlines() if line.startswith("== ")]
+    assert headers == ["== summands =="] + [f"== step {i} ==" for i in range(1, 5)]
     assert "First braid word (for L) is" in out
     assert "summands of the closure, by crossing count: [7, 7]" in out
+    assert "reduces to the 0-crossing unknot diagram" in out
     assert "certificate: PASS, total crossing changes = 5" in out
     assert out.strip().endswith("bound: u(7_1 # mirror 7_1) <= 5")
 
 
+def test_verify_paper_step_4(capsys):
+    # Step 4 continues step 3, so it is checked within the full run.
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    step_4 = out.split("== step 4 ==\n", 1)[1].split("certificate:", 1)[0]
+    assert "continues step 3: PASS" in step_4
+    assert "after: unknot" in step_4
+    assert "reduces to the 0-crossing unknot diagram" in step_4
+
+
+def test_verify_paper_fails_on_a_wrong_summand(capsys, tmp_path):
+    # Without 7_1 in the table the summands cannot be identified, so the
+    # certificate alone must not establish the bound.
+    path = tmp_path / "table.tsv"
+    save_table([e for e in default_table() if e.name != "7_1"], str(path))
+    code, out, _ = run(capsys, "verify-paper", "--table", str(path))
+    assert code == 1
+    assert "summand 1: FAIL, claimed 7_1 but found no table match" in out
+    assert "certificate: PASS, total crossing changes = 5" in out
+    assert out.strip().endswith("bound not established")
+
+
 def test_verify_paper_transcripts_are_identical(capsys):
-    _, first, _ = run(capsys, "verify-paper", "--step", "2")
-    _, second, _ = run(capsys, "verify-paper", "--step", "2")
+    _, first, _ = run(capsys, "verify-paper")
+    _, second, _ = run(capsys, "verify-paper")
     assert first == second
 
 
@@ -155,6 +174,47 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
     )
     assert code == 2
     assert "table integrity" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--base", "7_1", "--config", "{tmp}/letters.cfg"],
+        ["search", "--base", "7_1", "--config", "{tmp}/binary.cfg"],
+        ["search", "--base", "7_1", "--config", "{tmp}/missing.cfg"],
+        ["identify", "--name", "7_1", "--table", "{tmp}/missing.tsv"],
+        ["search", "--base", "7_1", "--seed", "5", "--k", "-1"],
+        ["search", "--base", "7_1", "--seed", "5", "--trials", "-3"],
+    ],
+    ids=[
+        "config-not-integer",
+        "config-not-utf8",
+        "config-missing",
+        "table-missing",
+        "negative-k",
+        "negative-trials",
+    ],
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "letters.cfg").write_text("seed=5\ntrials=abc\n")
+    (tmp_path / "binary.cfg").write_bytes(b"seed=5\n\xff\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    def broken(d):
+        raise InternalError("braid reading dropped crossings")
+
+    monkeypatch.setattr(cli, "vogel_braid", broken)
+    code, out, err = run(capsys, "convert", "--dt", "[4,6,2]", "--to", "braid")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: braid reading dropped crossings\n"
 
 
 def test_search_requires_seed(capsys):

@@ -7,6 +7,7 @@ from gordian.codes import parse_dt, realize_dt
 from gordian.errors import InputError
 from gordian.identify import (
     BUNDLED_CODES,
+    KnotTableEntry,
     build_table,
     default_table,
     identify,
@@ -32,22 +33,49 @@ def test_default_table_names_and_duplicate_collapse():
     assert len([n for n, _ in BUNDLED_CODES if n == "K15n81556"]) == 2
 
 
-def test_build_table_rejects_collisions():
+def _via_build_table(entries, tmp_path):
+    return build_table(entries)
+
+
+def _via_load_table(entries, tmp_path):
+    rows = []
+    for name, code in entries:
+        fp = fingerprint(realize_dt(code))
+        rows.append(KnotTableEntry(name, code, fp, fp.mirrored()))
+    path = tmp_path / "table.tsv"
+    save_table(rows, str(path))
+    return load_table(str(path))
+
+
+TABLE_PATHS = pytest.mark.parametrize(
+    "make_table, prefix",
+    [
+        pytest.param(_via_build_table, "", id="build_table"),
+        pytest.param(_via_load_table, "table integrity: line 2: ", id="load_table"),
+    ],
+)
+
+
+@TABLE_PATHS
+def test_build_table_rejects_collisions(make_table, prefix, tmp_path):
     entries = [
         ("first", parse_dt("[4, 6, 2]")),
         ("second", parse_dt("[-4, -6, -2]")),  # same knot, new name
     ]
-    with pytest.raises(InputError):
-        build_table(entries)
+    with pytest.raises(InputError, match=f"^{prefix}fingerprint collision"):
+        make_table(entries, tmp_path)
 
 
-def test_build_table_rejects_inconsistent_duplicate_names():
+@TABLE_PATHS
+def test_build_table_rejects_inconsistent_duplicate_names(
+    make_table, prefix, tmp_path
+):
     entries = [
         ("knot", parse_dt("[4, 6, 2]")),
         ("knot", parse_dt("[4, 6, 8, 2]")),  # different knot, same name
     ]
-    with pytest.raises(InputError):
-        build_table(entries)
+    with pytest.raises(InputError, match=f"^{prefix}duplicate name knot"):
+        make_table(entries, tmp_path)
 
 
 def test_identify_reports_chirality():
