@@ -29,7 +29,7 @@ from .identify import (
     identify,
     same_knot_evidence,
 )
-from .invariants import Fingerprint, fingerprint, wirtinger
+from .invariants import FINGERPRINT_BUDGET, Fingerprint, fingerprint, wirtinger
 from .moves import deconnect_sum, simplify_global
 
 Presentation = DTCode | BraidWord
@@ -156,17 +156,21 @@ def check_certificate(
             ok &= _check_claim(before, step.claimed_before, table, "before", lines)
         changed = sorted(step.change_indices)
         lines.append(f"  change crossings {changed} ({len(changed)} changes)")
-        after = fingerprint(_apply_changes(step))
+        result = _apply_changes(step)
+        last = i == len(cert.steps) - 1
+        must_unknot = last and step.claimed_after in (None, "unknot")
+        if must_unknot:
+            result = simplify_global(result, budget=FINGERPRINT_BUDGET)
+        after = fingerprint(result)
         if step.claimed_after is not None:
             ok &= _check_claim(after, step.claimed_after, table, "after", lines)
-        if i == len(cert.steps) - 1 and step.claimed_after in (None, "unknot"):
-            if after.min_crossings_seen == 0:
+        if must_unknot:
+            if result.n == 0:
                 lines.append("  reduces to the 0-crossing unknot diagram")
             else:
                 ok = False
                 lines.append(
-                    "  FAIL: final diagram only reduced to "
-                    f"{after.min_crossings_seen} crossings"
+                    f"  FAIL: final diagram only reduced to {result.n} crossings"
                 )
         prev_after = after
         reports.append(StepReport(i, ok, len(step.change_indices), tuple(lines)))

@@ -15,14 +15,7 @@ from .codes import parse_dt, pd_to_dt, realize_dt, render_dt
 from .diagram import PDDiagram, pd_to_text
 from .errors import InputError, InternalError, ResourceError, UnrealizableError
 from .identify import KnotTableEntry, default_table, identify, load_table
-from .invariants import (
-    alexander,
-    determinant,
-    fingerprint,
-    jones,
-    murasugi_bound,
-    signature,
-)
+from .invariants import fingerprint, knot_invariants, murasugi_bound
 from .moves import connected_sum, mirror, simplify_global
 from .search import SearchConfig, replay_line, run_pipeline
 
@@ -101,13 +94,12 @@ def cmd_convert(args) -> int:
 
 def cmd_invariants(args) -> int:
     table = _load_table(args)
-    d = _resolve_input(args, table)
-    print(f"alexander: {alexander(d).render()}")
-    print(f"jones: {jones(d).render()}")
-    sig = signature(d)
-    print(f"signature: {sig:+d}")
-    print(f"determinant: {determinant(d)}")
-    print(f"murasugi bound: u >= {murasugi_bound(sig)}")
+    fp = knot_invariants(_resolve_input(args, table))
+    print(f"alexander: {fp.alexander.render()}")
+    print(f"jones: {fp.jones.render()}")
+    print(f"signature: {fp.signature:+d}")
+    print(f"determinant: {fp.determinant}")
+    print(f"murasugi bound: u >= {murasugi_bound(fp.signature)}")
     return 0
 
 
@@ -125,7 +117,7 @@ def cmd_simplify(args) -> int:
 def cmd_identify(args) -> int:
     table = _load_table(args)
     d = _resolve_input(args, table)
-    fp = fingerprint(d, budget=args.budget)
+    fp = fingerprint(d)
     print(f"fingerprint: {fp.render()}")
     matches = identify(fp, table)
     if not matches:
@@ -156,7 +148,6 @@ def _read_config_file(path: str) -> dict[str, str]:
         "trials",
         "k_changes",
         "n_backtrack",
-        "max_crossings_for_id",
         "targets",
     }
     unknown = set(options) - allowed
@@ -190,7 +181,6 @@ def _merge_search_config(args) -> SearchConfig:
         trials=pick(args.trials, "trials", 1),
         k_changes=pick(args.k, "k_changes", 1),
         n_backtrack=pick(args.n_backtrack, "n_backtrack", 30),
-        max_crossings_for_id=pick(args.max_id, "max_crossings_for_id", 16),
         targets=tuple(t for t in targets_text.split(",") if t),
     )
 
@@ -272,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="match a knot against the table")
     _add_input_args(p)
-    p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser(
@@ -288,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--k", type=int, help="crossing changes per trial")
     p.add_argument("--n-backtrack", type=int)
-    p.add_argument("--max-id", type=int)
     p.add_argument("--targets", help="comma-separated table names that count as hits")
     p.add_argument("--config", help="flat key=value file with search settings")
     p.add_argument("--table", help="path to a knot table file")

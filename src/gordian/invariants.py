@@ -407,10 +407,7 @@ def signature(x: PDDiagram | BraidWord) -> int:
 
 def determinant(x: PDDiagram | BraidWord) -> int:
     """Knot determinant ``|Alexander(-1)|``."""
-    value = alexander(x)(-1)
-    if value.denominator != 1:
-        raise InternalError("Alexander(-1) is not an integer")
-    return abs(int(value))
+    return abs(int(alexander(x)(-1)))
 
 
 def murasugi_bound(x: PDDiagram | BraidWord | int) -> int:
@@ -506,35 +503,18 @@ def wirtinger(d: PDDiagram) -> WirtingerPresentation:
 FINGERPRINT_BUDGET = 2000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Fingerprint:
     """Bundle of exact invariants used for identification.
 
-    Equality ignores ``min_crossings_seen``, which only records how small a
-    presentation the simplifier reached.
+    Every field is a knot invariant, so a fingerprint does not depend on
+    the diagram it was computed from.
     """
 
     alexander: LaurentPoly
     jones: LaurentPoly
     signature: int
     determinant: int
-    min_crossings_seen: int
-
-    def key(self) -> tuple:
-        return (
-            self.alexander.terms,
-            self.jones.terms,
-            self.signature,
-            self.determinant,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def render(self) -> str:
         """One-token canonical form, safe for space-separated log lines."""
@@ -547,39 +527,37 @@ class Fingerprint:
 
     def mirrored(self) -> "Fingerprint":
         return Fingerprint(
-            self.alexander,
-            self.jones.reverse(),
-            -self.signature,
-            self.determinant,
-            self.min_crossings_seen,
+            self.alexander, self.jones.reverse(), -self.signature, self.determinant
         )
 
 
-def fingerprint(
-    d: PDDiagram | BraidWord,
-    *,
-    seed: int = 0,
-    budget: int = FINGERPRINT_BUDGET,
-) -> Fingerprint:
+def knot_invariants(d: PDDiagram) -> Fingerprint:
+    """The invariants of the knot diagram ``d`` as given.
+
+    Alexander and signature share one Vogel braid, and the determinant is
+    ``|Alexander(-1)|`` of the polynomial already computed.
+    """
+    if not d.is_knot:
+        raise InputError("expected a one-component diagram")
+    word = vogel_braid(d)
+    alex = alexander(word)
+    return Fingerprint(alex, jones(d), signature(word), abs(int(alex(-1))))
+
+
+def fingerprint(d: PDDiagram | BraidWord, *, seed: int = 0) -> Fingerprint:
     """Invariant fingerprint of a knot, computed on a simplified diagram.
 
-    Simplifying first keeps the Vogel braid behind the Seifert route short
-    and records ``min_crossings_seen``; no invariant depends on it.  The
-    bracket contraction raises ``ResourceError`` only past
-    ``MAX_FRONTIER_STATES`` live frontier states.
+    A walk of at most ``FINGERPRINT_BUDGET`` moves shrinks the diagram
+    first, which keeps the Vogel braid behind the Seifert route short and
+    the bracket's frontier narrow.  The bracket contraction raises
+    ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier
+    states.
     """
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("fingerprint expects a one-component diagram")
-    small = simplify_global(d, budget=budget, seed=seed)
-    return Fingerprint(
-        alexander=alexander(small) if small.n else LaurentPoly.one(),
-        jones=jones(small),
-        signature=signature(small) if small.n else 0,
-        determinant=determinant(small) if small.n else 1,
-        min_crossings_seen=small.n,
-    )
+    return knot_invariants(simplify_global(d, budget=FINGERPRINT_BUDGET, seed=seed))
 
 
 # ---------------------------------------------------------------------------

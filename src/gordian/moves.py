@@ -281,14 +281,20 @@ def simplify_greedy(d: PDDiagram) -> PDDiagram:
     return d
 
 
+# Moves in a row without a smaller diagram after which a walk has stalled.
+STALL_MOVES = 600
+
+
 def simplify_global(
     d: PDDiagram, *, budget: int = 10_000, seed: int = 0
 ) -> PDDiagram:
     """Randomized simplification walk, returning the smallest diagram seen.
 
     Mostly descends (taking reducing moves when available, triangle slides
-    otherwise) but occasionally explores through increasing moves; a stale
-    walk restarts from the best diagram so far.  Deterministic in ``seed``.
+    otherwise) but occasionally explores through increasing moves.  The walk
+    ends at the unknot, after ``STALL_MOVES`` moves in a row that do not
+    improve on the best diagram, or after ``budget`` moves, whichever comes
+    first.  Deterministic in ``seed``.
     """
     rng = random.Random(seed)
     cur = simplify_greedy(d)
@@ -296,7 +302,7 @@ def simplify_global(
     cap = max(cur.n + 8, 14)
     stale = 0
     for _ in range(budget):
-        if best.n == 0:
+        if best.n == 0 or stale == STALL_MOVES:
             break
         move = None
         reducing = find_reducing_moves(cur)
@@ -320,9 +326,6 @@ def simplify_global(
             stale = 0
         else:
             stale += 1
-        if stale >= 600:
-            cur = best
-            stale = 0
     return best
 
 

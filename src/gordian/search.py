@@ -37,11 +37,10 @@ class SearchConfig:
     trials: int = 1
     k_changes: int = 1
     n_backtrack: int = 30
-    max_crossings_for_id: int = 16
     targets: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("trials", "k_changes", "n_backtrack", "max_crossings_for_id"):
+        for name in ("trials", "k_changes", "n_backtrack"):
             value = getattr(self, name)
             if value < 0:
                 raise InputError(f"{name} must be >= 0, got {value}")
@@ -102,13 +101,15 @@ def evaluate_candidate(
     return _result_token(identify(fp, table), fp, base_fp), fp
 
 
-def _is_hit(result: str, fp: Fingerprint, cfg: SearchConfig) -> bool:
+def _is_hit(result: str, cfg: SearchConfig) -> bool:
+    """A hit is a result the table identifies, or ``base``.
+
+    With targets, only a result that names one of them is a hit.
+    """
     if cfg.targets:
         names = {token.split("(")[0] for token in result.split(";")}
         return bool(names & set(cfg.targets))
-    if result == "base":
-        return True
-    return result != "?" and fp.min_crossings_seen <= cfg.max_crossings_for_id
+    return result != "?"
 
 
 def run_pipeline(
@@ -153,7 +154,7 @@ def run_pipeline(
             continue
         if log is not None:
             log(_hit_line(trial, tseed, braid, flips, result, fp.render()))
-        if _is_hit(result, fp, cfg):
+        if _is_hit(result, cfg):
             hits.append(SearchHit(trial, tseed, braid, flips, result, fp))
     return hits
 

@@ -156,7 +156,7 @@ def test_final_step_must_unknot(table):
     # Changing one crossing of T(2,7) gives T(2,5), not the unknot.
     report = check_certificate(cert, table)
     assert not report.passed
-    assert "only reduced to" in report.render()
+    assert "FAIL: final diagram only reduced to 5 crossings" in report.render()
 
 
 def test_certificate_text_round_trip():

@@ -264,6 +264,25 @@ def test_search_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+def test_dropped_walk_options_exit_2(capsys, tmp_path):
+    # No output depends on how far a simplification walk got, so neither
+    # the identification crossing cap nor the fingerprint budget is an
+    # option or a config key.
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("seed=5\nmax_crossings_for_id=16\n")
+    code, _, err = run(
+        capsys, "search", "--base", "BRAID:[1, 1, 1]", "--config", str(cfg)
+    )
+    assert code == 2
+    assert "unknown config keys: ['max_crossings_for_id']" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--base", "BRAID:[1, 1, 1]", "--seed", "5", "--max-id", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--name", "7_1", "--budget", "10"])
+    assert exc.value.code == 2
+
+
 def test_search_replay_through_cli(capsys):
     code, out, _ = run(
         capsys,

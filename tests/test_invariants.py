@@ -349,7 +349,20 @@ def test_fingerprint_unknot():
     assert fp.jones == LaurentPoly.one()
     assert fp.signature == 0
     assert fp.determinant == 1
-    assert fp.min_crossings_seen == 0
+    assert simplify_global(unknot).n == 0
+
+
+def test_fingerprint_fields_match_standalone_invariants(rng):
+    # fingerprint() shares one Vogel braid and one Alexander polynomial
+    # between its fields; each must equal the invariant computed alone.
+    for _ in range(30):
+        d = random_knot_diagram(rng, max_crossings=10)
+        fp = fingerprint(d)
+        assert fp.alexander == alexander(d)
+        assert fp.jones == jones(d)
+        assert fp.signature == signature(d)
+        assert fp.determinant == determinant(d)
+        assert abs(fp.jones(-1)) == fp.determinant
 
 
 def test_fingerprint_equality_ignores_crossing_count():

@@ -2,6 +2,7 @@
 
 import random
 
+from gordian import moves
 from gordian.braid import BraidWord, braid_closure
 from gordian.diagram import validate_pd
 from gordian.invariants import (
@@ -10,6 +11,7 @@ from gordian.invariants import (
     fingerprint,
     jones,
     signature,
+    torus_diagram,
 )
 from gordian.moves import (
     apply_move,
@@ -100,6 +102,21 @@ def test_simplify_unknot_to_zero():
     s = simplify_global(scrambled, budget=4000)
     assert s.n == 0
     assert s.component_count == 1
+
+
+def test_simplify_stops_at_first_stall(monkeypatch):
+    # No move shrinks the alternating T(2,7) diagram, so the walk ends after
+    # STALL_MOVES non-improving moves instead of spending its budget.
+    calls = []
+
+    def counting(d, move):
+        calls.append(move)
+        return apply_move(d, move)
+
+    monkeypatch.setattr(moves, "apply_move", counting)
+    s = simplify_global(torus_diagram(7), budget=10_000)
+    assert s.n == 7
+    assert len(calls) == moves.STALL_MOVES == 600
 
 
 def test_simplify_trefoil_reaches_minimum(rng):

@@ -8,6 +8,7 @@ from gordian.identify import default_table
 from gordian.invariants import fingerprint
 from gordian.search import (
     SearchConfig,
+    _is_hit,
     evaluate_candidate,
     replay_hit,
     replay_line,
@@ -118,3 +119,15 @@ def test_targets_filter_hits(table, base):
     cfg = SearchConfig(seed=1, trials=2, k_changes=0, targets=("K12n412",))
     hits = run_pipeline(base, cfg, table)
     assert hits == []
+
+
+def test_is_hit_counts_identified_results():
+    # A hit is a result the table identifies, or the base knot itself.
+    cfg = SearchConfig(seed=1)
+    assert _is_hit("K14a18636", cfg)
+    assert _is_hit("7_1(mirror)", cfg)
+    assert _is_hit("base", cfg)
+    assert not _is_hit("?", cfg)
+    targeted = SearchConfig(seed=1, targets=("K12n412",))
+    assert _is_hit("K12n412(mirror)", targeted)
+    assert not _is_hit("K14a18636", targeted)
