@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .diagram import Dart, Editor, PDDiagram
+from .diagram import Dart, Editor, PDDiagram, in_slots, out_slots
 from .errors import InputError, InternalError
 from .moves import push_arc_over
 
@@ -88,17 +88,6 @@ def flip_letters(word: BraidWord, positions) -> BraidWord:
         -x if i in pos else x for i, x in enumerate(word.letters)
     )
     return BraidWord(letters, word.strands)
-
-
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    stack: list[int] = []
-    for x in word.letters:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return BraidWord(tuple(stack), word.strands)
 
 
 def braid_closure(word: BraidWord) -> PDDiagram:
@@ -175,7 +164,7 @@ def _incoherent_pair(d: PDDiagram) -> tuple[Dart, Dart] | None:
         seen: list[tuple[int, bool, Dart]] = []
         for ci, s in face:
             edge = d.crossings[ci].edges[s]
-            out = s in (2, 3) if d.crossings[ci].sign > 0 else s in (2, 1)
+            out = s in out_slots(d.crossings[ci].sign)
             for circ, out2, dart in seen:
                 if circ != of_edge[edge] and out2 == out:
                     return dart, (ci, s)
@@ -214,9 +203,8 @@ def _read_braid(d: PDDiagram) -> BraidWord:
     joins: dict[int, tuple[int, int]] = {}
     nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
     for ci, c in enumerate(d.crossings):
-        over_in = 1 if c.sign > 0 else 3
         g1 = of_edge[c.edges[0]]
-        g2 = of_edge[c.edges[over_in]]
+        g2 = of_edge[c.edges[in_slots(c.sign)[1]]]
         if g1 == g2:
             raise InternalError("crossing joins a Seifert circle to itself")
         joins[ci] = (g1, g2)

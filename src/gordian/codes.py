@@ -16,6 +16,7 @@ import networkx as nx
 
 from .diagram import Editor, PDDiagram
 from .errors import InputError, InternalError, UnrealizableError
+from .moves import mirror
 
 
 @dataclass(frozen=True)
@@ -74,49 +75,13 @@ def flip_entries(code: DTCode, positions) -> DTCode:
     return DTCode(tuple(-e if i in idx else e for i, e in enumerate(code.entries)))
 
 
-@dataclass(frozen=True)
-class GaussCode:
-    """Traversal record: one (crossing label, over?, sign) triple per passage.
-
-    The sign slot is 0 when the code has not been embedded yet (signs are
-    a property of the planar realization, not of the traversal).
-    """
-
-    triples: tuple[tuple[int, bool, int], ...]
-
-
-def dt_to_gauss(code: DTCode) -> GaussCode:
-    """Expand a DT code to the full 2n-passage traversal, signs undetermined."""
-    crossing_at, _ = _traversal_tables(code)
-    triples = []
-    for time in range(1, 2 * code.n + 1):
-        c = crossing_at[time]
-        odd_passage = time % 2 == 1
-        over = (code.entries[c] > 0) == odd_passage
-        triples.append((c, over, 0))
-    return GaussCode(tuple(triples))
-
-
-def gauss_code(d: PDDiagram) -> GaussCode:
-    """Read the traversal of a one-component diagram, with crossing signs."""
-    if not d.is_knot:
-        raise InputError("gauss_code expects a one-component diagram")
-    triples = []
-    for e in d.components[0]:
-        c, slot = d.edge_ends[e][1]
-        triples.append((c, slot != 0, d.crossings[c].sign))
-    return GaussCode(tuple(triples))
-
-
-def _traversal_tables(code: DTCode) -> tuple[dict[int, int], dict[int, int]]:
-    """Maps time -> crossing index and crossing index -> even time."""
+def _crossing_at(code: DTCode) -> dict[int, int]:
+    """Map traversal time -> crossing index."""
     crossing_at: dict[int, int] = {}
-    even_time: dict[int, int] = {}
     for i, e in enumerate(code.entries):
         crossing_at[2 * i + 1] = i
         crossing_at[abs(e)] = i
-        even_time[i] = abs(e)
-    return crossing_at, even_time
+    return crossing_at
 
 
 def _embed_shadow(code: DTCode) -> dict[int, list[int]]:
@@ -130,7 +95,7 @@ def _embed_shadow(code: DTCode) -> dict[int, list[int]]:
     """
     n = code.n
     two_n = 2 * n
-    crossing_at, _ = _traversal_tables(code)
+    crossing_at = _crossing_at(code)
     graph = nx.Graph()
     for c in range(n):
         hub = ("h", c)
@@ -210,8 +175,6 @@ def realize_dt(code: DTCode) -> PDDiagram:
 
 
 def _normalize_chirality(d: PDDiagram) -> PDDiagram:
-    from .moves import mirror  # local import; moves depends on codes
-
     signs = tuple(c.sign for c in d.crossings)
     w = sum(signs)
     if w < 0:

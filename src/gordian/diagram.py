@@ -125,25 +125,30 @@ class PDDiagram:
             out[head] = tail
         return out
 
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Closed strands that pass through crossings, as edge sequences."""
+    def _edge_cycles(self, exit_slot) -> tuple[tuple[int, ...], ...]:
+        """Edge cycles that leave each crossing at ``exit_slot(sign, slot)``
+        of the slot they entered, starting from the lowest unseen edge."""
         ends = self.edge_ends
         seen: set[int] = set()
-        comps: list[tuple[int, ...]] = []
+        cycles: list[tuple[int, ...]] = []
         for start in sorted(ends):
             if start in seen:
                 continue
-            walk: list[int] = []
+            cyc: list[int] = []
             e = start
             while e not in seen:
                 seen.add(e)
-                walk.append(e)
+                cyc.append(e)
                 ci, s = ends[e][1]
-                exit_slot = strand_exit(self.crossings[ci].sign, s)
-                e = self.crossings[ci].edges[exit_slot]
-            comps.append(tuple(walk))
-        return tuple(comps)
+                c = self.crossings[ci]
+                e = c.edges[exit_slot(c.sign, s)]
+            cycles.append(tuple(cyc))
+        return tuple(cycles)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Closed strands that pass through crossings, as edge sequences."""
+        return self._edge_cycles(strand_exit)
 
     @property
     def component_count(self) -> int:
@@ -179,21 +184,7 @@ class PDDiagram:
 
     def seifert_circles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the orientation-preserving smoothing, as edge cycles."""
-        seen: set[int] = set()
-        circles: list[tuple[int, ...]] = []
-        for start in sorted(self.edge_ends):
-            if start in seen:
-                continue
-            cyc: list[int] = []
-            e = start
-            while e not in seen:
-                seen.add(e)
-                cyc.append(e)
-                ci, s = self.edge_ends[e][1]
-                exit_slot = seifert_exit(self.crossings[ci].sign, s)
-                e = self.crossings[ci].edges[exit_slot]
-            circles.append(tuple(cyc))
-        return tuple(circles)
+        return self._edge_cycles(seifert_exit)
 
     def __repr__(self) -> str:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"

@@ -133,13 +133,6 @@ class EvidenceReport:
     def passed(self) -> bool:
         return self.verdict != "FAIL"
 
-    def render(self) -> str:
-        lines = [f"{self.verdict} (fingerprint evidence)"]
-        for name, left, right in self.comparisons:
-            mark = "==" if left == right else "!="
-            lines.append(f"  {name}: {left} {mark} {right}")
-        return "\n".join(lines)
-
 
 def same_knot_evidence(
     a: PDDiagram | Fingerprint, b: PDDiagram | Fingerprint

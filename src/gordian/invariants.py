@@ -544,20 +544,22 @@ def knot_invariants(d: PDDiagram) -> Fingerprint:
     return Fingerprint(alex, jones(d), signature(word), abs(int(alex(-1))))
 
 
-def fingerprint(d: PDDiagram | BraidWord, *, seed: int = 0) -> Fingerprint:
+def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
     """Invariant fingerprint of a knot, computed on a simplified diagram.
 
-    A walk of at most ``FINGERPRINT_BUDGET`` moves shrinks the diagram
-    first, which keeps the Vogel braid behind the Seifert route short and
-    the bracket's frontier narrow.  The bracket contraction raises
-    ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier
-    states.
+    A walk of at most ``FINGERPRINT_BUDGET`` moves, always from seed 0,
+    shrinks the diagram first, which keeps the Vogel braid behind the
+    Seifert route short and the bracket's frontier narrow; the result is a
+    function of the diagram alone.  A caller that has already walked its
+    diagram calls ``knot_invariants`` instead.  The bracket contraction
+    raises ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live
+    frontier states.
     """
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("fingerprint expects a one-component diagram")
-    return knot_invariants(simplify_global(d, budget=FINGERPRINT_BUDGET, seed=seed))
+    return knot_invariants(simplify_global(d, budget=FINGERPRINT_BUDGET))
 
 
 # ---------------------------------------------------------------------------

@@ -117,18 +117,6 @@ def find_moves(d: PDDiagram) -> dict[str, list[Move]]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_r1_minus(d: PDDiagram, site: tuple) -> PDDiagram:
-    ed = Editor.from_diagram(d)
-    ed.smooth_out([site[0]])
-    return ed.to_diagram()
-
-
-def _apply_r2_minus(d: PDDiagram, site: tuple) -> PDDiagram:
-    ed = Editor.from_diagram(d)
-    ed.smooth_out(list(site))
-    return ed.to_diagram()
-
-
 def _apply_r3(d: PDDiagram, site: tuple) -> PDDiagram:
     face, p = site
     partner = d.dart_partner
@@ -209,10 +197,11 @@ def push_arc_over(d: PDDiagram, da: Dart, db: Dart) -> PDDiagram:
 
 
 def apply_move(d: PDDiagram, move: Move) -> PDDiagram:
-    if move.kind == "R1-":
-        return _apply_r1_minus(d, move.site)
-    if move.kind == "R2-":
-        return _apply_r2_minus(d, move.site)
+    if move.kind in ("R1-", "R2-"):
+        # A reducing site is the crossings it deletes.
+        ed = Editor.from_diagram(d)
+        ed.smooth_out(move.site)
+        return ed.to_diagram()
     if move.kind == "R3":
         return _apply_r3(d, move.site)
     if move.kind == "R1+":

@@ -92,12 +92,14 @@ def evaluate_candidate(
     flips,
     base_fp: Fingerprint,
     table: list[KnotTableEntry],
-    *,
-    seed: int = 0,
 ) -> tuple[str, Fingerprint]:
-    """Flip the given letters, close the braid, and name the outcome."""
+    """Flip the given letters, close the braid, and name the outcome.
+
+    The outcome depends on the braid and the flips alone: the fingerprint
+    walk takes no seed, so a log line replays without its trial's seed.
+    """
     changed = flip_letters(braid, flips)
-    fp = fingerprint(braid_closure(changed), seed=seed)
+    fp = fingerprint(braid_closure(changed))
     return _result_token(identify(fp, table), fp, base_fp), fp
 
 
@@ -126,7 +128,7 @@ def run_pipeline(
     """
     if table is None:
         table = default_table()
-    base_fp = fingerprint(base, seed=cfg.seed)
+    base_fp = fingerprint(base)
     hits: list[SearchHit] = []
     for trial in range(cfg.trials):
         tseed = _trial_seed(cfg.seed, trial)
@@ -145,9 +147,7 @@ def run_pipeline(
                     f"cannot flip {cfg.k_changes}"
                 )
             flips = tuple(sorted(rng.sample(range(len(braid)), cfg.k_changes)))
-            result, fp = evaluate_candidate(
-                braid, flips, base_fp, table, seed=tseed
-            )
+            result, fp = evaluate_candidate(braid, flips, base_fp, table)
         except (ResourceError, UnrealizableError) as exc:
             if log is not None:
                 log(f"{trial} {tseed} - - skip({type(exc).__name__}) -")
@@ -166,8 +166,11 @@ def replay_line(
 ) -> tuple[bool, str]:
     """Recompute a log line from its braid and flips.
 
-    Returns (verdict, recomputed line); the verdict is True only when the
-    recomputation reproduces the line byte for byte.
+    This is the one replay path.  The trial and seed fields are carried
+    over as written: they chose the braid and the flips, which the line
+    already states.  Returns (verdict, recomputed line); the verdict is
+    True only when the recomputation reproduces the line byte for byte.
+    A malformed line raises ``InputError``.
     """
     if table is None:
         table = default_table()
@@ -183,23 +186,10 @@ def replay_line(
     if not (flip_text.startswith("[") and flip_text.endswith("]")):
         raise InputError(f"bad flip list {flip_text!r}")
     body = flip_text[1:-1]
-    flips = tuple(int(tok) for tok in body.split(",")) if body else ()
-    base_fp = fingerprint(base, seed=seed)
-    result, fp = evaluate_candidate(braid, flips, base_fp, table, seed=seed)
+    try:
+        flips = tuple(int(tok) for tok in body.split(",")) if body else ()
+    except ValueError:
+        raise InputError(f"flip indices must be integers, got {flip_text!r}") from None
+    result, fp = evaluate_candidate(braid, flips, fingerprint(base), table)
     rebuilt = _hit_line(trial, seed, braid, flips, result, fp.render())
     return rebuilt == line.strip(), rebuilt
-
-
-def replay_hit(
-    hit: SearchHit,
-    base: PDDiagram,
-    table: list[KnotTableEntry] | None = None,
-) -> bool:
-    """Re-verify a hit object: same flips on the same braid, same outcome."""
-    if table is None:
-        table = default_table()
-    base_fp = fingerprint(base, seed=hit.seed)
-    result, fp = evaluate_candidate(
-        hit.braid, hit.flips, base_fp, table, seed=hit.seed
-    )
-    return result == hit.result and fp == hit.fingerprint

@@ -7,7 +7,6 @@ from gordian.braid import (
     braid_closure,
     closure_component_count,
     flip_letters,
-    free_reduce,
     parse_braid,
     permutation,
     render_braid,
@@ -44,13 +43,6 @@ def test_permutation_composition():
     identity = BraidWord((), 3)
     assert permutation(identity) == (0, 1, 2)
     assert closure_component_count(identity) == 3
-
-
-def test_free_reduce_cancels_adjacent_inverses():
-    word = BraidWord.from_letters((1, -1, 2, 2, -2, -2, 3))
-    assert free_reduce(word).letters == (3,)
-    untouched = BraidWord.from_letters((1, 2, 1))
-    assert free_reduce(untouched).letters == (1, 2, 1)
 
 
 def test_flip_letters():

@@ -10,7 +10,6 @@ from gordian.certify import (
     UnknottingCertificate,
     adjacency_certificate_10_139,
     check_certificate,
-    composed_torus_bound,
     paper_certificate,
     parse_certificate,
     render_certificate,
@@ -45,9 +44,10 @@ def test_paper_certificate_passes(table, fingerprint_calls):
     assert report.passed
     assert report.bound == 5
     assert len(report.steps) == 4
-    # Four results plus the three presentations compared with the previous
-    # step's result; the base closure itself is never fingerprinted.
-    assert len(fingerprint_calls) == 7
+    # Three results plus the three presentations compared with the previous
+    # step's result; the base closure itself is never fingerprinted, and the
+    # final result's invariants are taken on the diagram the step walked.
+    assert len(fingerprint_calls) == 6
     text = report.render()
     assert "PASS, total crossing changes = 5" in text
     assert "reduces to the 0-crossing unknot diagram" in text
@@ -79,12 +79,6 @@ def test_torus_cascades(table, fingerprint_calls):
 def test_torus_cascade_rejects_small_k():
     with pytest.raises(InputError):
         torus_cascade_certificate(2)
-
-
-def test_composed_bound(table):
-    for k in (3, 4, 5):
-        for l in (3, 4, 5):
-            assert composed_torus_bound(k, l, table) == k + l - 1
 
 
 def test_empty_certificate_is_vacuously_true(table):

@@ -185,6 +185,10 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
         ["identify", "--name", "7_1", "--table", "{tmp}/missing.tsv"],
         ["search", "--base", "7_1", "--seed", "5", "--k", "-1"],
         ["search", "--base", "7_1", "--seed", "5", "--trials", "-3"],
+        [
+            "search", "--base", "BRAID:[1,1,1]",
+            "--replay", "1 2 [1,1,1] [x] base alexander=1",
+        ],
     ],
     ids=[
         "config-not-integer",
@@ -193,6 +197,7 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
         "table-missing",
         "negative-k",
         "negative-trials",
+        "replay-flip-not-integer",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):

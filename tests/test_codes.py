@@ -5,9 +5,7 @@ import pytest
 from gordian.braid import BraidWord, braid_closure
 from gordian.codes import (
     DTCode,
-    dt_to_gauss,
     flip_entries,
-    gauss_code,
     parse_dt,
     pd_to_dt,
     realize_dt,
@@ -116,34 +114,6 @@ def test_pd_to_dt_unknot_and_errors():
     link = braid_closure(BraidWord.from_letters((1, 1), 2))
     with pytest.raises(InputError):
         pd_to_dt(link)
-
-
-def test_gauss_code_structure():
-    d = braid_closure(BraidWord.from_letters((1, 1, 1), 2))
-    g = gauss_code(d)
-    assert len(g.triples) == 6  # two passages per crossing
-    labels = [t[0] for t in g.triples]
-    assert sorted(labels) == [0, 0, 1, 1, 2, 2]
-    overs = {t[0]: 0 for t in g.triples}
-    for label, over, _sign in g.triples:
-        overs[label] += 1 if over else 0
-    assert all(v == 1 for v in overs.values())  # one over, one under each
-
-
-def test_dt_to_gauss_convention():
-    # Entry sign records which strand is on top: negative means the even
-    # passage is the over one.
-    g = dt_to_gauss(parse_dt("[4, 6, 2]"))
-    # Positive entries: odd labels (even positions in traversal order 0,2,4)
-    # pass over.
-    by_time = {}
-    for label, over, _sign in g.triples:
-        by_time.setdefault(label, []).append(over)
-    assert len(g.triples) == 6
-    odd_passages_over = [t[1] for t in g.triples[::2]]
-    even_passages_over = [t[1] for t in g.triples[1::2]]
-    assert all(odd_passages_over)
-    assert not any(even_passages_over)
 
 
 def test_dt_round_trip_up_to_mirror(rng):

@@ -1,18 +1,27 @@
-"""Property tests for the text parsers.
+"""Property tests for the text parsers and the readers built on them.
 
 Arbitrary text may only fail with a package error (which the CLI maps to
 an exit code), never with a bare Python exception; valid DT codes and
-braid words survive a render/parse round trip unchanged.
+braid words survive a render/parse round trip unchanged.  Search log
+lines, table files and search config files are fuzzed the same way; the
+knots they can name are kept to a few crossings so each example is cheap.
 """
 
+import contextlib
+import io
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gordian.braid import BraidWord, parse_braid, render_braid
+from gordian import cli
+from gordian.braid import BraidWord, braid_closure, parse_braid, render_braid
 from gordian.certify import parse_certificate
 from gordian.codes import DTCode, parse_dt, render_dt
 from gordian.diagram import pd_from_text
 from gordian.errors import GordianError
+from gordian.identify import build_table, default_table, load_table, save_table
+from gordian.search import replay_line
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -100,3 +109,114 @@ def test_braid_render_then_parse_is_identity(letters):
     word = BraidWord.from_letters(letters)
     assert parse_braid(render_braid(word)) == word
     assert parse_braid("BRAID:" + render_braid(word)) == word
+
+
+def _tokens(valid, broken=("", "x", "-", "1.5")):
+    """A field: a well-formed value, a malformed one, or arbitrary text."""
+    return st.one_of(
+        st.sampled_from(valid), st.sampled_from(broken), st.text(max_size=4)
+    )
+
+
+@st.composite
+def _log_lines(draw):
+    """A well-formed log line, often with one field replaced by junk."""
+    letters = draw(st.lists(st.integers(-2, 2).filter(bool), max_size=4))
+    flips = draw(
+        st.lists(
+            st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["x", "", "1.5"])),
+            max_size=3,
+        )
+    )
+    fields = [
+        str(draw(st.integers(0, 9))),
+        str(draw(st.integers(0, 2**31))),
+        render_braid(BraidWord.from_letters(letters)).replace(" ", ""),
+        "[" + ",".join(flips) + "]",
+        draw(st.sampled_from(["base", "?", "7_1"])),
+        "alexander=1",
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = draw(_tokens(["[", "[]"]))
+    return " ".join(fields)
+
+
+@FUZZ
+@given(st.one_of(st.text(), _log_lines()))
+def test_replay_line_raises_only_package_errors(line):
+    unknot = braid_closure(BraidWord((), 1))
+    _parses_or_raises_gordian_error(
+        lambda text: replay_line(text, unknot, default_table()), line
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.fixture(scope="module")
+def unknot_line(scratch_file):
+    """The well-formed table line of the unknot."""
+    save_table(build_table([("unknot", parse_dt("[]"))]), str(scratch_file))
+    return scratch_file.read_text().rstrip("\n")
+
+
+def _table_texts(unknot_line):
+    name, dt, fp, fpm = unknot_line.split("\t")
+    row = st.one_of(
+        st.just(unknot_line),
+        st.tuples(
+            _tokens([name, "0_1"]),
+            _tokens([dt, "DT:[2]", "DT:[-2, 4]", "DT:[4, 6, 2]", "DT:[4, 2, 6]"]),
+            _tokens([fp, fpm]),
+            _tokens([fpm, fp]),
+        ).map("\t".join),
+        st.text(max_size=20),
+    )
+    return st.lists(row, max_size=4).map("\n".join)
+
+
+def test_load_table_raises_only_package_errors(scratch_file, unknot_line):
+    @FUZZ
+    @given(_table_texts(unknot_line))
+    def check(text):
+        scratch_file.write_text(text, encoding="utf-8")
+        _parses_or_raises_gordian_error(load_table, str(scratch_file))
+
+    check()
+
+
+_config_line = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(
+            ["seed", "trials", "k_changes", "n_backtrack", "targets", "budget"]
+        ),
+        _tokens(["0", "5", "-1", "7_1,K12n412"]),
+    ),
+    st.sampled_from(["", "# comment", "seed", "=5"]),
+    st.text(max_size=12),
+)
+
+
+def test_search_config_file_exits_0_or_2(scratch_file):
+    @FUZZ
+    @given(
+        st.one_of(
+            st.lists(_config_line, max_size=5).map("\n".join).map(str.encode),
+            st.binary(max_size=20),
+        )
+    )
+    def check(data):
+        scratch_file.write_bytes(data)
+        argv = ["search", "--base", "BRAID:[1]", "--config", str(scratch_file)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv + ["--trials", "0"])
+        assert code in (0, 2)
+        assert (code == 2) == err.getvalue().startswith("error: ")
+
+    check()
