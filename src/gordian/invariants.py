@@ -25,7 +25,7 @@ from .braid import BraidWord, braid_closure, vogel_braid
 from .diagram import Dart, PDDiagram, in_slots
 from .errors import InputError, InternalError, ResourceError
 from .laurent import LaurentPoly
-from .moves import simplify_global
+from .moves import simplify_global, simplify_greedy
 
 # Live matchings on the contraction frontier.  Diagrams met in practice
 # stay far below this (a few thousand on a 10-strand, 100-letter braid);
@@ -44,8 +44,9 @@ _SMOOTHINGS = (((3, 2, 1, 0), 1), ((1, 0, 3, 2), -1))  # (partner, A exponent)
 # ---------------------------------------------------------------------------
 
 
-def _contraction_order(d: PDDiagram) -> list[int]:
-    """Crossings in the order they join the contracted region.
+def _contraction_order(d: PDDiagram) -> tuple[list[int], int]:
+    """Crossings in the order they join the contracted region, and the
+    peak frontier width of that order, in edge ends.
 
     Greedy: adding a crossing grows the frontier by ``4 - gain``, where
     each edge end that meets the region adds 2 to the gain and each end of
@@ -58,15 +59,18 @@ def _contraction_order(d: PDDiagram) -> list[int]:
     ]
     todo = set(range(d.n))
     order: list[int] = []
+    width = peak = 0
     while todo:
         c = max(todo, key=lambda x: (gain[x], -x))
         todo.remove(c)
         order.append(c)
+        width += 4 - gain[c]
+        peak = max(peak, width)
         for s in range(4):
             nb = partner[(c, s)][0]
             if nb in todo:
                 gain[nb] += 2
-    return order
+    return order, peak
 
 
 def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
@@ -92,7 +96,7 @@ def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
     partner = d.dart_partner
     frontier: list[Dart] = []  # dangling edge ends of the region, by position
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for c in _contraction_order(d):
+    for c in _contraction_order(d)[0]:
         at = {dart: i for i, dart in enumerate(frontier)}
         # Where each slot's edge leads: an old frontier position, another
         # slot of this crossing (a kink), or a new frontier end.
@@ -501,6 +505,11 @@ def wirtinger(d: PDDiagram) -> WirtingerPresentation:
 # ---------------------------------------------------------------------------
 
 FINGERPRINT_BUDGET = 2000
+# Widest bracket frontier, in edge ends, on which a fingerprint skips the
+# walk.  Twelve ends have at most 11!! = 10395 matchings, so the bracket
+# cannot pass MAX_FRONTIER_STATES there.  Past it, the invariants of a
+# greedy search candidate can cost several times the walk.
+FINGERPRINT_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -547,19 +556,25 @@ def knot_invariants(d: PDDiagram) -> Fingerprint:
 def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
     """Invariant fingerprint of a knot, computed on a simplified diagram.
 
-    A walk of at most ``FINGERPRINT_BUDGET`` moves, always from seed 0,
-    shrinks the diagram first, which keeps the Vogel braid behind the
-    Seifert route short and the bracket's frontier narrow; the result is a
-    function of the diagram alone.  A caller that has already walked its
-    diagram calls ``knot_invariants`` instead.  The bracket contraction
-    raises ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live
-    frontier states.
+    Greedy simplification shrinks the diagram first.  Only when the
+    bracket frontier of the greedy diagram is wider than
+    ``FINGERPRINT_WIDTH`` edge ends does a walk of at most
+    ``FINGERPRINT_BUDGET`` moves, always from seed 0, shrink it further,
+    which keeps the Vogel braid behind the Seifert route short and the
+    bracket's frontier narrow.  Either way the result is a function of
+    the diagram alone.  A caller that has already walked its diagram calls
+    ``knot_invariants`` instead.  The bracket contraction raises
+    ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier
+    states.
     """
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("fingerprint expects a one-component diagram")
-    return knot_invariants(simplify_global(d, budget=FINGERPRINT_BUDGET))
+    g = simplify_greedy(d)
+    if _contraction_order(g)[1] > FINGERPRINT_WIDTH:
+        g = simplify_global(g, budget=FINGERPRINT_BUDGET)
+    return knot_invariants(g)
 
 
 # ---------------------------------------------------------------------------

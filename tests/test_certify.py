@@ -153,6 +153,17 @@ def test_final_step_must_unknot(table):
     assert "FAIL: final diagram only reduced to 5 crossings" in report.render()
 
 
+def test_paper_certificate_fails_when_the_final_walk_is_cut_short(
+    table, monkeypatch
+):
+    # The final step walks its own diagram; fingerprints of small diagrams
+    # never walk, so only this walk's budget decides the unknot verdict.
+    monkeypatch.setattr(certify, "FINGERPRINT_BUDGET", 5)
+    report = check_certificate(paper_certificate(), table)
+    assert not report.passed
+    assert "FAIL: final diagram only reduced to" in report.render()
+
+
 def test_certificate_text_round_trip():
     for cert in (
         paper_certificate(),

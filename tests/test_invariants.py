@@ -10,23 +10,31 @@ computed by planar contraction, is checked against the 2**n state sum
 """
 
 import os
+import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from gordian import invariants
 from gordian.braid import BraidWord, braid_closure
+from gordian.certify import BASE_BRAID
 from gordian.codes import parse_dt, realize_dt
 from gordian.diagram import PDDiagram
 from gordian.errors import InputError
-from gordian.identify import default_table
+from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
+    FINGERPRINT_BUDGET,
+    FINGERPRINT_WIDTH,
+    _contraction_order,
     alexander,
     determinant,
     fingerprint,
     jones,
     kauffman_bracket,
+    knot_invariants,
     murasugi_bound,
     seifert_matrix,
     signature,
@@ -35,7 +43,12 @@ from gordian.invariants import (
     wirtinger,
 )
 from gordian.laurent import LaurentPoly
-from gordian.moves import backtrack_randomize, crossing_change, simplify_global
+from gordian.moves import (
+    backtrack_randomize,
+    crossing_change,
+    simplify_global,
+    simplify_greedy,
+)
 from tests.conftest import (
     burau_alexander,
     random_knot_diagram,
@@ -390,3 +403,57 @@ def test_fingerprint_render_is_one_token():
     token = fp.render()
     assert " " not in token
     assert "alexander=" in token and "determinant=3" in token
+
+
+# ---------------------------------------------------------------------------
+# the fingerprint's walk gate
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gate_corpus():
+    """(diagram, greedy diagram, greedy frontier width) over the bundled
+    codes, the paper's base closure and seeded random braids, the last
+    three of them large enough to straddle ``FINGERPRINT_WIDTH``."""
+    rng = random.Random(20)
+    words = [random_knot_word(rng) for _ in range(20)]
+    words += [random_knot_word(rng, 14, 100, 80) for _ in range(3)]
+    diagrams = [realize_dt(parse_dt(code)) for _, code in BUNDLED_CODES]
+    diagrams += [braid_closure(w) for w in (BASE_BRAID, *words)]
+    corpus = []
+    for d in diagrams:
+        g = simplify_greedy(d)
+        corpus.append((d, g, _contraction_order(g)[1]))
+    return corpus
+
+
+def test_contraction_width_by_hand():
+    # T(2,n): the first crossing opens 4 edge ends, each later one closes
+    # two and opens two, and the last closes all four.
+    for n in (3, 5, 7, 19):
+        assert _contraction_order(torus_diagram(n))[1] == 4
+    unknot = simplify_greedy(braid_closure(BraidWord.from_letters((1, -2, 3), 4)))
+    assert unknot.n == 0
+    assert _contraction_order(unknot) == ([], 0)
+    seven_one = simplify_greedy(realize_dt(parse_dt(dict(BUNDLED_CODES)["7_1"])))
+    assert seven_one.n == 8
+    assert _contraction_order(seven_one)[1] == 4
+
+
+def test_gated_fingerprint_equals_walked_invariants(gate_corpus):
+    widths = [w for _, _, w in gate_corpus]
+    assert min(widths) <= FINGERPRINT_WIDTH < max(widths)
+    for d, _, _ in gate_corpus:
+        walked = simplify_global(d, budget=FINGERPRINT_BUDGET)
+        assert fingerprint(d) == knot_invariants(walked)
+
+
+def test_gate_admits_only_diagrams_within_the_state_bound(gate_corpus, monkeypatch):
+    # A frontier of 2k edge ends bounding a disk carries at most Catalan(k)
+    # matchings, so every diagram the gate admits fits in that many states.
+    k = FINGERPRINT_WIDTH // 2
+    monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", comb(2 * k, k) // (k + 1))
+    admitted = [g for _, g, w in gate_corpus if w <= FINGERPRINT_WIDTH]
+    assert any(_contraction_order(g)[1] == FINGERPRINT_WIDTH for g in admitted)
+    for g in admitted:
+        knot_invariants(g)
