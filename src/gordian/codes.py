@@ -16,7 +16,7 @@ import networkx as nx
 
 from .diagram import Editor, PDDiagram
 from .errors import InputError, InternalError, UnrealizableError
-from .moves import mirror
+from .moves import deconnect_sum, mirror
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,18 @@ def _normalize_chirality(d: PDDiagram) -> PDDiagram:
 
 
 def pd_to_dt(d: PDDiagram) -> DTCode:
-    """Extract the lexicographically minimal DT code over all 2n starts."""
+    """Extract the lexicographically minimal DT code over all 2n starts.
+
+    A DT code fixes a diagram only up to reflecting each prime summand, so
+    a diagram with two or more summands of 3 or more crossings is refused.
+    """
     if not d.is_knot:
         raise InputError("pd_to_dt expects a one-component diagram")
+    if sum(part.n >= 3 for part in deconnect_sum(d)) >= 2:
+        raise InputError(
+            "a DT code cannot fix the chirality of each summand of a "
+            "composite diagram"
+        )
     n = d.n
     if n == 0:
         return DTCode(())

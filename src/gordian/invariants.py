@@ -1,12 +1,14 @@
-"""Exact knot invariants: bracket, Jones, Seifert form, and derived data.
+"""Exact knot invariants: bracket, Jones, Burau, Seifert, and derived data.
 
-Two independent computation routes are kept deliberately separate.  The
-Kauffman bracket route contracts the diagram crossing by crossing, keeping
-one polynomial per matching of the open edge ends; the Seifert route
-builds an explicit Seifert matrix from a braid presentation and derives
-the Alexander polynomial, signature, and determinant from it.
-``V(-1)`` versus ``Alexander(-1)`` gives a cheap cross-check between the
-two, which the test suite exercises.
+Three computation routes are kept deliberately separate.  The Kauffman
+bracket route contracts the diagram crossing by crossing, keeping one
+polynomial per matching of the open edge ends, and gives Jones.  The
+Burau route takes one determinant of the Burau matrix of a braid
+presentation and gives the Alexander polynomial and the determinant.  The
+Seifert route builds an explicit Seifert matrix from the same braid and
+gives the signature.  ``V(-1)`` versus ``Alexander(-1)`` gives a cheap
+cross-check between the bracket and Burau routes, which the test suite
+exercises.
 
 Chirality bookkeeping: a ``+1`` internal crossing is the closure of the
 one-letter braid ``[+1]``, and ``signature(torus_diagram(7)) == +6``.
@@ -212,11 +214,12 @@ def jones(d: PDDiagram | BraidWord) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 # Off-diagonal entries (V[a][b], V[b][a]) for a band pair ``a`` preceding a
-# pair ``b``.  These are pinned (up to reversal/basis symmetries that leave
-# every derived invariant unchanged) by the calibration suite: torus-knot
-# signatures and Alexander polynomials, unimodularity of V - V^T, and
-# agreement with the Burau-minor route to the Alexander polynomial on
-# random braid words.
+# pair ``b``.  Only the signature reads them here.  They are pinned (up to
+# reversal/basis symmetries that leave every derived invariant unchanged)
+# by the calibration suite: torus-knot signatures, unimodularity of
+# V - V^T, |det(V + V^T)| against the determinant, and the test oracle's
+# det(V - t*V^T) against the Burau Alexander polynomial on random braid
+# words.
 _CHAIN_PLUS = (0, -1)  # same generator, shared letter positive
 _CHAIN_MINUS = (1, 0)  # same generator, shared letter negative
 _INTERLEAVE_UP = (0, 1)  # adjacent generators, p < r < q < s
@@ -278,61 +281,49 @@ def _as_braid(x: PDDiagram | BraidWord) -> BraidWord:
     return vogel_braid(x)
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    denom = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // denom
-            a[i][k] = 0
-        denom = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _det_poly(V: list[list[int]]) -> LaurentPoly:
-    """``det(V - t*V^T)`` by evaluation and exact interpolation."""
-    m = len(V)
-    if m == 0:
-        return LaurentPoly.one()
-    xs = list(range(m + 1))
-    ys = []
-    for x in xs:
-        mat = [[V[i][j] - x * V[j][i] for j in range(m)] for i in range(m)]
-        ys.append(_int_det(mat))
-    # Newton's divided differences, exactly.
-    coeffs = [Fraction(y) for y in ys]
-    for level in range(1, m + 1):
-        for i in range(m, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = LaurentPoly.zero()
-    acc = LaurentPoly.one()
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise InternalError("determinant interpolation left fractions")
-        poly = poly + acc * int(c)
-        acc = acc * LaurentPoly({1: 1, 0: -xs[i]})
-    return poly
-
-
 def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
-    """Alexander polynomial, symmetric and normalised to ``value(1) == 1``."""
-    V = seifert_matrix(_as_braid(x))
-    raw = _det_poly(V)
+    """Alexander polynomial, symmetric and normalised to ``value(1) == 1``.
+
+    For a ``k``-strand braid whose closure is the knot, the principal
+    ``(k-1)`` minor of ``psi - I``, with ``psi`` its unreduced Burau matrix,
+    is the Alexander polynomial up to a unit ``+-t**a``.  The matrix is
+    kept by columns, so each letter replaces two of them, and the minor is
+    one fraction-free (Bareiss) determinant over ``Z[t, 1/t]``.
+    """
+    word = _as_braid(x)
+    k = word.strands
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    one_minus_t = LaurentPoly({0: 1, 1: -1})
+    one_minus_tinv = LaurentPoly({0: 1, -1: -1})
+    cols = [[one if i == j else zero for i in range(k)] for j in range(k)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        a, b = cols[i], cols[i + 1]
+        if letter > 0:
+            cols[i] = [p * one_minus_t + q for p, q in zip(a, b)]
+            cols[i + 1] = [p.shift(1) for p in a]
+        else:
+            cols[i] = [q.shift(-1) for q in b]
+            cols[i + 1] = [p + q * one_minus_tinv for p, q in zip(a, b)]
+    n = k - 1
+    m = [[cols[j][i] - one if i == j else cols[j][i] for j in range(n)]
+         for i in range(n)]
+    sign, denom = 1, one
+    for p in range(n - 1):
+        if m[p][p].is_zero():
+            swap = next((r for r in range(p + 1, n) if m[r][p]), None)
+            if swap is None:
+                sign = 0  # a zero column: the determinant vanishes
+                break
+            m[p], m[swap] = m[swap], m[p]
+            sign = -sign
+        pivot = m[p][p]
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                m[i][j] = m[i][j] * pivot - m[i][p] * m[p][j]
+                m[i][j] = m[i][j].exact_div(denom)
+        denom = pivot
+    raw = m[-1][-1] * sign if m else one
     if raw.is_zero():
         raise InternalError("Alexander determinant vanished on a knot")
     span = raw.max_exp() - raw.min_exp()
@@ -543,8 +534,9 @@ class Fingerprint:
 def knot_invariants(d: PDDiagram) -> Fingerprint:
     """The invariants of the knot diagram ``d`` as given.
 
-    Alexander and signature share one Vogel braid, and the determinant is
-    ``|Alexander(-1)|`` of the polynomial already computed.
+    Alexander (by Burau) and signature (by Seifert matrix) read one Vogel
+    braid, and the determinant is ``|Alexander(-1)|`` of the polynomial
+    already computed.
     """
     if not d.is_knot:
         raise InputError("expected a one-component diagram")
@@ -560,8 +552,8 @@ def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
     bracket frontier of the greedy diagram is wider than
     ``FINGERPRINT_WIDTH`` edge ends does a walk of at most
     ``FINGERPRINT_BUDGET`` moves, always from seed 0, shrink it further,
-    which keeps the Vogel braid behind the Seifert route short and the
-    bracket's frontier narrow.  Either way the result is a function of
+    which keeps the Vogel braid behind Alexander and signature short and
+    the bracket's frontier narrow.  Either way the result is a function of
     the diagram alone.  A caller that has already walked its diagram calls
     ``knot_invariants`` instead.  The bracket contraction raises
     ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier

@@ -142,37 +142,37 @@ class LaurentPoly:
         return sum((c * x**e for e, c in self.terms), Fraction(0))
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Divide by ``other``, requiring a remainder-free integer quotient."""
+        """Divide by ``other``, requiring a remainder-free integer quotient.
+
+        Long division from the top term, in integers: each quotient
+        coefficient of an integral quotient is the remainder's top
+        coefficient divided by the divisor's, so ``ValueError`` is raised as
+        soon as one does not divide exactly, or if a remainder is left.
+        """
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        # Normalise both to ordinary polynomials and long-divide over Q.
-        num = {e - self.min_exp(): Fraction(c) for e, c in self.terms}
-        den = {e - other.min_exp(): Fraction(c) for e, c in other.terms}
-        dn = max(num)
-        dd = max(den)
-        lead = den[dd]
-        quot: dict[int, Fraction] = {}
-        while num and max(num) >= dd:
-            k = max(num)
-            q = num[k] / lead
-            quot[k - dd] = q
-            for e, c in den.items():
-                e2 = e + k - dd
-                num[e2] = num.get(e2, Fraction(0)) - q * c
-                if num[e2] == 0:
-                    del num[e2]
-        if num:
-            raise ValueError("polynomial division left a remainder")
-        shift = self.min_exp() - other.min_exp()
-        out: dict[int, int] = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
+        lo, dlo = self.min_exp(), other.min_exp()
+        num = [0] * (self.max_exp() - lo + 1)
+        for e, c in self.terms:
+            num[e - lo] = c
+        den = [(e - dlo, c) for e, c in other.terms]
+        top, lead = den[-1]
+        quot: dict[int, int] = {}
+        for i in range(len(num) - 1, top - 1, -1):
+            if not num[i]:
+                continue
+            q, r = divmod(num[i], lead)
+            if r:
                 raise ValueError("quotient is not an integer polynomial")
-            out[e + shift] = int(c)
-        return LaurentPoly(out)
+            for e, c in den:
+                num[i - top + e] -= q * c
+            quot[i - top + lo - dlo] = q
+        if any(num):
+            raise ValueError("polynomial division left a remainder")
+        return LaurentPoly(quot)
 
     # -- rendering ---------------------------------------------------------
 

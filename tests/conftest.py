@@ -1,10 +1,12 @@
 """Shared generators and oracles for the test suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from gordian.braid import BraidWord, braid_closure, closure_component_count
+from gordian.invariants import seifert_matrix
 from gordian.laurent import LaurentPoly
 
 
@@ -87,76 +89,68 @@ def state_sum_bracket(d) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Independent Alexander oracle (Burau matrices)
+# Independent Alexander oracle (Seifert matrix, evaluation and interpolation)
 # ---------------------------------------------------------------------------
 
-def _mat_mul(a, b):
+
+def int_det(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    a = [row[:] for row in rows]
     n = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(n)), LaurentPoly.zero())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    if n == 0:
+        return 1
+    sign = 1
+    denom = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // denom
+            a[i][k] = 0
+        denom = pivot
+    return sign * a[n - 1][n - 1]
 
 
-def _mat_det(m):
-    if not m:
-        return LaurentPoly.one()
-    if len(m) == 1:
-        return m[0][0]
-    total = LaurentPoly.zero()
-    for j, head in enumerate(m[0]):
-        if head.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = head * _mat_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def seifert_alexander(word: BraidWord) -> LaurentPoly:
+    """Alexander polynomial as ``det(V - t*V^T)`` of the package's Seifert
+    matrix, normalized so the polynomial is symmetric in t <-> 1/t and
+    evaluates to +1 at t = 1.
 
-
-def burau_alexander(word: BraidWord) -> LaurentPoly:
-    """Alexander polynomial via unreduced Burau matrices, normalized so the
-    polynomial is symmetric in t <-> 1/t and evaluates to +1 at t = 1.
-
-    This shares no code with the Seifert-matrix route: the only common
-    dependency is Laurent arithmetic.
+    The determinant is taken at the m+1 points 0..m by integer Bareiss and
+    recovered by exact Newton interpolation.  This shares nothing with the
+    package's Burau route except Laurent arithmetic, and it pins the
+    Seifert matrix's off-diagonal constants, which the package otherwise
+    reads only through the signature.
     """
-    t = LaurentPoly.var(1)
-    tinv = LaurentPoly.var(-1)
-    one = LaurentPoly.one()
-    k = word.strands
-    m = [[one if i == j else LaurentPoly.zero() for j in range(k)] for i in range(k)]
-    for x in word.letters:
-        i = abs(x) - 1
-        block = [
-            [one if a == b else LaurentPoly.zero() for b in range(k)]
-            for a in range(k)
-        ]
-        if x > 0:
-            block[i][i] = one - t
-            block[i][i + 1] = t
-            block[i + 1][i] = one
-            block[i + 1][i + 1] = LaurentPoly.zero()
-        else:
-            block[i][i] = LaurentPoly.zero()
-            block[i][i + 1] = one
-            block[i + 1][i] = tinv
-            block[i + 1][i + 1] = one - tinv
-        m = _mat_mul(m, block)
-    for i in range(k):
-        m[i][i] = m[i][i] - one
-    reduced = [row[: k - 1] for row in m[: k - 1]]
-    det = _mat_det(reduced)
-    if det.is_zero():
-        return LaurentPoly.zero()
-    # Strip the unit +-t^a: center the exponents, then fix the sign at t=1.
+    V = seifert_matrix(word)
+    m = len(V)
+    xs = list(range(m + 1))
+    ys = [
+        int_det([[V[i][j] - x * V[j][i] for j in range(m)] for i in range(m)])
+        for x in xs
+    ]
+    # Newton's divided differences, exactly.
+    coeffs = [Fraction(y) for y in ys]
+    for level in range(1, m + 1):
+        for i in range(m, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    det = LaurentPoly.zero()
+    acc = LaurentPoly.one()
+    for i, c in enumerate(coeffs):
+        assert c.denominator == 1, "determinant interpolation left fractions"
+        det = det + acc * int(c)
+        acc = acc * LaurentPoly({1: 1, 0: -xs[i]})
+    assert not det.is_zero(), "Seifert determinant vanished on a knot"
     lo, hi = det.min_exp(), det.max_exp()
-    if (lo + hi) % 2 != 0:
-        # Odd total degree cannot be centered in t; centre in sqrt(t) never
-        # happens for the knots generated in these tests.
-        raise AssertionError("unexpected odd exponent span in Burau oracle")
+    assert (lo + hi) % 2 == 0, "odd exponent span in Seifert oracle"
     centered = det.shift(-(lo + hi) // 2)
     if centered(1) < 0:
         centered = -centered

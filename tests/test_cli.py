@@ -189,6 +189,7 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
             "search", "--base", "BRAID:[1,1,1]",
             "--replay", "1 2 [1,1,1] [x] base alexander=1",
         ],
+        ["convert", "--braid", "BRAID:[-2,-2,1,1,1,-2]", "--to", "dt"],
     ],
     ids=[
         "config-not-integer",
@@ -198,6 +199,7 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
         "negative-k",
         "negative-trials",
         "replay-flip-not-integer",
+        "dt-of-square-knot",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):

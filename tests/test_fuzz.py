@@ -5,22 +5,32 @@ an exit code), never with a bare Python exception; valid DT codes and
 braid words survive a render/parse round trip unchanged.  Search log
 lines, table files and search config files are fuzzed the same way; the
 knots they can name are kept to a few crossings so each example is cheap.
+Closures of random knot words keep their fingerprint through PD text and
+the Vogel braid, and up to mirror through a DT code.
 """
 
 import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gordian import cli
-from gordian.braid import BraidWord, braid_closure, parse_braid, render_braid
+from gordian.braid import (
+    BraidWord,
+    braid_closure,
+    closure_component_count,
+    parse_braid,
+    render_braid,
+    vogel_braid,
+)
 from gordian.certify import parse_certificate
-from gordian.codes import DTCode, parse_dt, render_dt
-from gordian.diagram import pd_from_text
-from gordian.errors import GordianError
+from gordian.codes import DTCode, parse_dt, pd_to_dt, realize_dt, render_dt
+from gordian.diagram import pd_from_text, pd_to_text
+from gordian.errors import GordianError, InputError
 from gordian.identify import build_table, default_table, load_table, save_table
+from gordian.invariants import fingerprint
 from gordian.search import replay_line
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
@@ -109,6 +119,33 @@ def test_braid_render_then_parse_is_identity(letters):
     word = BraidWord.from_letters(letters)
     assert parse_braid(render_braid(word)) == word
     assert parse_braid("BRAID:" + render_braid(word)) == word
+
+
+@st.composite
+def knot_words(draw):
+    """A braid word of at most 4 strands and 12 letters closing to a knot."""
+    strands = draw(st.integers(2, 4))
+    gens = st.integers(1, strands - 1)
+    letter = st.one_of(gens, gens.map(int.__neg__))
+    letters = draw(st.lists(letter, max_size=12))
+    word = BraidWord.from_letters(letters, strands)
+    assume(closure_component_count(word) == 1)
+    return word
+
+
+@FUZZ
+@given(knot_words())
+def test_pd_dt_and_braid_round_trips_keep_the_fingerprint(word):
+    d = braid_closure(word)
+    fp = fingerprint(d)
+    assert fingerprint(pd_from_text(pd_to_text(d))) == fp
+    assert fingerprint(braid_closure(vogel_braid(d))) == fp
+    try:
+        code = pd_to_dt(d)
+    except InputError:
+        return  # composite: a code would not fix each summand's chirality
+    fr = fingerprint(realize_dt(code))
+    assert fr in (fp, fp.mirrored())
 
 
 def _tokens(valid, broken=("", "x", "-", "1.5")):

@@ -1,14 +1,15 @@
 """Exact invariants, checked against an independent oracle and frozen values.
 
 The Alexander polynomial has two fully independent routes here: the
-package computes it from Seifert matrices of braided diagrams, while the
-test oracle (``burau_alexander`` in conftest) multiplies Burau matrices.
-Determinants likewise cross two routes: Seifert/Alexander on one side and
+package takes one determinant of the Burau matrix of a braid, while the
+test oracle (``seifert_alexander`` in conftest) interpolates
+``det(V - t*V^T)`` of the Seifert matrix from integer determinants, which
+also pins the Seifert matrix that the package's signature reads.
+Determinants likewise cross two routes: Burau/Alexander on one side and
 the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
 computed by planar contraction, is checked against the 2**n state sum
 (``state_sum_bracket`` in conftest).
 """
-
 import os
 import random
 import subprocess
@@ -50,9 +51,10 @@ from gordian.moves import (
     simplify_greedy,
 )
 from tests.conftest import (
-    burau_alexander,
+    int_det,
     random_knot_diagram,
     random_knot_word,
+    seifert_alexander,
     state_sum_bracket,
 )
 
@@ -67,23 +69,23 @@ def poly(*terms):
 
 
 # ---------------------------------------------------------------------------
-# the independent oracle first: Burau agrees with the Seifert route
+# the independent oracle first: Seifert agrees with the Burau route
 # ---------------------------------------------------------------------------
 
 
-def test_burau_oracle_matches_published_values():
+def test_seifert_oracle_matches_published_values():
     # The oracle itself is pinned before it is trusted.
-    assert burau_alexander(TREFOIL) == poly((-1, 1), (0, -1), (1, 1))
-    assert burau_alexander(FIGURE_EIGHT) == poly((-1, -1), (0, 3), (1, -1))
-    assert burau_alexander(T27) == poly(
+    assert seifert_alexander(TREFOIL) == poly((-1, 1), (0, -1), (1, 1))
+    assert seifert_alexander(FIGURE_EIGHT) == poly((-1, -1), (0, 3), (1, -1))
+    assert seifert_alexander(T27) == poly(
         (-3, 1), (-2, -1), (-1, 1), (0, -1), (1, 1), (2, -1), (3, 1)
     )
 
 
-def test_alexander_agrees_with_burau_oracle(rng):
+def test_alexander_agrees_with_seifert_oracle(rng):
     for _ in range(40):
-        word = random_knot_word(rng, max_strands=4, max_letters=8)
-        assert alexander(word) == burau_alexander(word), word.letters
+        word = random_knot_word(rng, max_strands=8, max_letters=30)
+        assert alexander(word) == seifert_alexander(word), word.letters
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +260,26 @@ def test_seifert_matrix_shapes():
     assert len(v) == 6 and all(len(row) == 6 for row in v)
 
 
+def test_seifert_symmetrization_gives_the_determinant(rng):
+    # |det(V + V^T)| = |Alexander(-1)|: the Seifert form the signature reads
+    # against the Burau route.
+    for _ in range(30):
+        word = random_knot_word(rng, max_strands=6, max_letters=20)
+        v = seifert_matrix(word)
+        m = len(v)
+        sym = [[v[i][j] + v[j][i] for j in range(m)] for i in range(m)]
+        assert abs(int_det(sym)) == determinant(word), word.letters
+
+
 def test_seifert_pairing_is_unimodular(rng):
     # det(V - V^T) = +-1 for any knot; this pins the off-diagonal linking
     # entries far more tightly than any single example.
-    from fractions import Fraction
-
     for _ in range(30):
         word = random_knot_word(rng, max_strands=4, max_letters=9)
         v = seifert_matrix(word)
-        m = [
-            [Fraction(v[i][j] - v[j][i]) for j in range(len(v))]
-            for i in range(len(v))
-        ]
-        det = Fraction(1)
-        for col in range(len(m)):
-            pivot = next(
-                (r for r in range(col, len(m)) if m[r][col] != 0), None
-            )
-            assert pivot is not None, "singular V - V^T"
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            for r in range(col + 1, len(m)):
-                f = m[r][col] / m[col][col]
-                for j in range(col, len(m)):
-                    m[r][j] -= f * m[col][j]
-        assert abs(det) == 1
+        m = len(v)
+        skew = [[v[i][j] - v[j][i] for j in range(m)] for i in range(m)]
+        assert abs(int_det(skew)) == 1
 
 
 # ---------------------------------------------------------------------------

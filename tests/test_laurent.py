@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic against hand-computed values."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,36 @@ def test_exact_division_rejects_remainder():
     t = LaurentPoly.var(1)
     with pytest.raises(Exception):
         (t ** 2 + 1).exact_div(t + 1)
+
+
+def test_exact_division_rejects_a_non_integral_quotient():
+    t = LaurentPoly.var(1)
+    with pytest.raises(ValueError):
+        (t + 1).exact_div(2 * t + 2)
+
+
+def test_exact_division_with_negative_exponents():
+    # (t^-2 - t^3) / (t^-1 - 1) = t^-1 + 1 + t + t^2 + t^3
+    num = LaurentPoly({-2: 1, 3: -1})
+    den = LaurentPoly({-1: 1, 0: -1})
+    assert num.exact_div(den) == LaurentPoly({-1: 1, 0: 1, 1: 1, 2: 1, 3: 1})
+    assert num.exact_div(LaurentPoly.var(-4, -1)) == LaurentPoly({2: -1, 7: 1})
+
+
+def test_exact_division_undoes_multiplication():
+    rng = random.Random(20261018)
+
+    def draw():
+        lo = rng.randint(-4, 4)
+        return LaurentPoly(
+            {lo + i: rng.randint(-5, 5) for i in range(rng.randint(1, 6))}
+        )
+
+    for _ in range(200):
+        p, q = draw(), draw()
+        if q.is_zero():
+            continue
+        assert (p * q).exact_div(q) == p
 
 
 def test_render_formats():
