@@ -113,11 +113,9 @@ def braid_closure(word: BraidWord) -> PDDiagram:
             else:
                 start[h] = ins[h]
             pending[h] = outs[h]
-    for h in range(1, word.strands + 1):
-        if h in pending:
-            ed.connect(pending[h], start[h])
-        else:
-            ed.free_loops += 1
+    for h in sorted(pending):
+        ed.connect(pending[h], start[h])
+    ed.free_loops += word.strands - len(pending)
     return ed.to_diagram()
 
 

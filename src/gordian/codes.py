@@ -3,16 +3,17 @@
 A DT code lists, for the odd traversal labels 1, 3, ..., 2n-1 in order, the
 even label met at the same crossing.  The entry is negative exactly when
 the even-labelled strand passes over at that crossing.  Realization embeds
-the code's 4-valent shadow in the sphere (rejecting unrealizable codes)
-and resolves the mirror ambiguity with a fixed writhe rule.
+the code's 4-valent shadow in the sphere by parity arithmetic on its
+interlacement graph (rejecting unrealizable codes) and resolves the mirror
+ambiguity with a fixed writhe rule.  Each connected piece of that graph is
+one prime block of the shadow, embedded uniquely up to reflection, so a
+composite code realizes one fixed choice of summand reflections.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .diagram import Editor, PDDiagram
 from .errors import InputError, InternalError, UnrealizableError
@@ -84,43 +85,53 @@ def _crossing_at(code: DTCode) -> dict[int, int]:
     return crossing_at
 
 
-def _embed_shadow(code: DTCode) -> dict[int, list[int]]:
-    """Planar rotation of the code's shadow: crossing -> ccw port cycle.
+def _embed_shadow(code: DTCode) -> list[bool]:
+    """Rotation of each crossing in a planar embedding of the code's shadow.
 
-    Each crossing becomes a rigid wheel gadget (hub, four rim ports) and
-    each arc of the traversal a subdivided edge between ports, so the
-    combinatorial embedding of the whole graph fixes the cyclic order of
-    the four strand ends at every crossing.  Ports are numbered 0 odd-in,
-    1 even-in, 2 odd-out, 3 even-out.
+    Ports are numbered 0 odd-in, 1 even-in, 2 odd-out, 3 even-out, and bit
+    ``True`` means port 1 follows port 0 counterclockwise.  Crossings c and
+    d interlace when exactly one pass of d falls between the two passes of
+    c.  By Rosenstiehl's characterization of Gauss codes (de Fraysseix and
+    Ossona de Mendez 1999) the shadow is planar exactly when every row of
+    the interlacement graph has even weight, which the opposite parities
+    of a crossing's two labels guarantee; every pair that does not
+    interlace shares an even number of interlaced crossings; and the bits
+    below exist: interlaced u and v get equal bits exactly when they share
+    an odd number.  The lowest crossing of each connected piece gets
+    ``True``.
     """
     n = code.n
-    two_n = 2 * n
     crossing_at = _crossing_at(code)
-    graph = nx.Graph()
-    for c in range(n):
-        hub = ("h", c)
-        for k in range(4):
-            graph.add_edge(hub, ("p", c, k))
-            graph.add_edge(("p", c, k), ("p", c, (k + 1) % 4))
-    for arc in range(1, two_n + 1):
-        t_out, t_in = arc, arc % two_n + 1
-        c_out, c_in = crossing_at[t_out], crossing_at[t_in]
-        port_out = 2 if t_out % 2 else 3
-        port_in = 0 if t_in % 2 else 1
-        mid = ("m", arc)
-        graph.add_edge(("p", c_out, port_out), mid)
-        graph.add_edge(mid, ("p", c_in, port_in))
-    ok, embedding = nx.check_planarity(graph)
-    if not ok:
-        raise UnrealizableError(
-            f"DT code {list(code.entries)} has no planar realization"
-        )
-    data = embedding.get_data()
-    rotations = {}
-    for c in range(n):
-        order = [node[2] for node in data[("h", c)]]
-        rotations[c] = order[::-1]  # get_data lists neighbors clockwise
-    return rotations
+    passed = [0]  # passed[t]: XOR mask of the crossings met at times 1..t
+    for t in range(1, 2 * n + 1):
+        passed.append(passed[-1] ^ 1 << crossing_at[t])
+    rows = []
+    for i, e in enumerate(code.entries):
+        a, b = sorted((2 * i + 1, abs(e)))
+        rows.append(passed[b - 1] ^ passed[a])
+    bits: list[bool | None] = [None] * n
+    for root in range(n):
+        if bits[root] is not None:
+            continue
+        bits[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in range(n):
+                odd = (rows[u] & rows[v]).bit_count() % 2 == 1
+                if rows[u] >> v & 1:
+                    want = bits[u] if odd else not bits[u]
+                    if bits[v] is None:
+                        bits[v] = want
+                        stack.append(v)
+                    ok = bits[v] == want
+                else:
+                    ok = not odd
+                if not ok:
+                    raise UnrealizableError(
+                        f"DT code {list(code.entries)} has no planar realization"
+                    )
+    return bits
 
 
 def realize_dt(code: DTCode) -> PDDiagram:
@@ -133,43 +144,27 @@ def realize_dt(code: DTCode) -> PDDiagram:
     n = code.n
     if n == 0:
         return PDDiagram((), 1)
-    rotations = _embed_shadow(code)
+    bits = _embed_shadow(code)
     two_n = 2 * n
 
     def prev_arc(t: int) -> int:
         return t - 1 if t > 1 else two_n
 
     ed = Editor()
-    arc_out: dict[int, tuple[int, int]] = {}
-    arc_in: dict[int, tuple[int, int]] = {}
+    ends: dict[tuple[int, bool], tuple[int, int]] = {}  # (arc, leaving?) -> dart
     for i, entry in enumerate(code.entries):
         a, b = 2 * i + 1, abs(entry)
         # Port layout: 0 odd-in, 1 even-in, 2 odd-out, 3 even-out.
-        arc_at_port = {0: prev_arc(a), 1: prev_arc(b), 2: a, 3: b}
-        if entry > 0:  # odd-labelled strand passes over
-            u_in, u_out, o_in, o_out = 1, 3, 0, 2
-        else:
-            u_in, u_out, o_in, o_out = 0, 2, 1, 3
-        cyc = rotations[i]
-        j = cyc.index(u_in)
-        cyc = cyc[j:] + cyc[:j]
-        if cyc[2] != u_out:
-            raise InternalError("under-strand ports not opposite in embedding")
-        if cyc[1] == o_in:
-            sign = 1
-            slot_port = {0: u_in, 1: o_in, 2: u_out, 3: o_out}
-        else:
-            sign = -1
-            slot_port = {0: u_in, 1: o_out, 2: u_out, 3: o_in}
-        cid = ed.new_crossing(sign)
-        for slot, port in slot_port.items():
-            arc = arc_at_port[port]
-            if port in (2, 3):
-                arc_out[arc] = (cid, slot)
-            else:
-                arc_in[arc] = (cid, slot)
+        arc_at_port = (prev_arc(a), prev_arc(b), a, b)
+        # Slots run counterclockwise from the under-strand's entry port.
+        under_in = 1 if entry > 0 else 0  # entry > 0: odd strand is over
+        step = 1 if bits[i] else 3
+        cid = ed.new_crossing(1 if (entry > 0) != bits[i] else -1)
+        for slot in range(4):
+            port = (under_in + slot * step) % 4
+            ends[arc_at_port[port], port >= 2] = (cid, slot)
     for arc in range(1, two_n + 1):
-        ed.connect(arc_out[arc], arc_in[arc])
+        ed.connect(ends[arc, True], ends[arc, False])
     d = ed.to_diagram()
     return _normalize_chirality(d)
 

@@ -285,6 +285,8 @@ def simplify_global(
     improve on the best diagram, or after ``budget`` moves, whichever comes
     first.  Deterministic in ``seed``.
     """
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
     cur = simplify_greedy(d)
     best = cur

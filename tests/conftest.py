@@ -39,6 +39,51 @@ def random_knot_diagram(rng: random.Random, max_crossings: int = 12):
 
 
 # ---------------------------------------------------------------------------
+# Independent planarity oracle for DT shadows (every rotation, faces counted)
+# ---------------------------------------------------------------------------
+
+
+def planar_rotations(code) -> list[tuple[bool, ...]]:
+    """Every rotation bit vector under which the code's shadow is planar.
+
+    Ports are 0 odd-in, 1 even-in, 2 odd-out, 3 even-out.  Bit ``True`` at
+    crossing c orders its ports (0, 1, 2, 3) counterclockwise, ``False``
+    orders them (0, 3, 2, 1).  Each of the 2**n vectors is tried by
+    tracing faces on the 4n darts; the shadow (n vertices, 2n edges) lies
+    in the sphere exactly when it has n + 2 faces.  This shares nothing
+    with the package's interlacement criterion.
+    """
+    n = code.n
+    assert 1 <= n <= 8, "oracle is for small codes"
+    at = {}
+    for i, e in enumerate(code.entries):
+        at[2 * i + 1] = i
+        at[abs(e)] = i
+    across = {}  # dart -> the dart at the other end of its arc
+    for t in range(1, 2 * n + 1):
+        u = t % (2 * n) + 1
+        tail, head = (at[t], 2 if t % 2 else 3), (at[u], 0 if u % 2 else 1)
+        across[tail], across[head] = head, tail
+    planar = []
+    for mask in range(1 << n):
+        bits = tuple(bool(mask >> c & 1) for c in range(n))
+        seen = set()
+        faces = 0
+        for start in across:
+            if start in seen:
+                continue
+            faces += 1
+            dart = start
+            while dart not in seen:
+                seen.add(dart)
+                c, p = across[dart]
+                dart = (c, (p + (1 if bits[c] else 3)) % 4)
+        if faces == n + 2:
+            planar.append(bits)
+    return planar
+
+
+# ---------------------------------------------------------------------------
 # Independent bracket oracle (state sum over all 2**n smoothings)
 # ---------------------------------------------------------------------------
 

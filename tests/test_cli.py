@@ -1,5 +1,10 @@
 """Command-line behaviour: output shapes, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gordian import cli, invariants
@@ -190,6 +195,7 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
             "--replay", "1 2 [1,1,1] [x] base alexander=1",
         ],
         ["convert", "--braid", "BRAID:[-2,-2,1,1,1,-2]", "--to", "dt"],
+        ["simplify", "--name", "7_1", "--budget", "-5"],
     ],
     ids=[
         "config-not-integer",
@@ -200,6 +206,7 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
         "negative-trials",
         "replay-flip-not-integer",
         "dt-of-square-knot",
+        "negative-budget",
     ],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
@@ -211,6 +218,25 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_long_braid_letter_is_refused_promptly():
+    # The closure has about 10**20 free loops; counting them must not walk
+    # every strand height.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "gordian.cli",
+            "invariants", "--braid", "BRAID:[99999999999999999999]",
+        ],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: expected a one-component diagram\n"
 
 
 def test_internal_error_exits_1(capsys, monkeypatch):

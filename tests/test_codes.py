@@ -1,10 +1,17 @@
 """DT codes: parsing, realization in the plane, and extraction."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gordian.braid import BraidWord, braid_closure
 from gordian.codes import (
     DTCode,
+    _embed_shadow,
     flip_entries,
     parse_dt,
     pd_to_dt,
@@ -16,7 +23,7 @@ from gordian.errors import InputError, UnrealizableError
 from gordian.invariants import determinant, fingerprint, jones
 from gordian.laurent import LaurentPoly
 from gordian.moves import deconnect_sum, mirror
-from tests.conftest import random_knot_diagram
+from tests.conftest import planar_rotations, random_knot_diagram
 
 
 def test_parse_dt_accepts_well_formed_codes():
@@ -138,3 +145,53 @@ def test_dt_round_trip_up_to_mirror(rng):
         assert fd == fr or fd == fr.mirrored()
         again = pd_to_dt(r)
         assert again == code or pd_to_dt(mirror(r)) == code
+
+
+def _interlacement_pieces(code: DTCode) -> int:
+    """Connected pieces of the graph joining crossings whose passes interlace."""
+    spans = [sorted((2 * i + 1, abs(e))) for i, e in enumerate(code.entries)]
+    piece = list(range(code.n))
+    for c, (a, b) in enumerate(spans):
+        for d, (x, y) in enumerate(spans):
+            if (a < x < b) != (a < y < b):
+                old, new = piece[d], piece[c]
+                piece = [new if p == old else p for p in piece]
+    return len(set(piece))
+
+
+def test_embedding_matches_the_face_count_oracle():
+    rng = random.Random(20261018)
+    realizable = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        evens = rng.sample(range(2, 2 * n + 1, 2), n)
+        code = DTCode(tuple(rng.choice((1, -1)) * e for e in evens))
+        planar = planar_rotations(code)
+        if not planar:
+            with pytest.raises(UnrealizableError):
+                realize_dt(code)
+            continue
+        realizable += 1
+        assert tuple(_embed_shadow(code)) in planar
+        # Each piece is embedded uniquely up to reflection.
+        assert len(planar) == 2 ** _interlacement_pieces(code)
+        assert validate_pd(realize_dt(code)) == []
+    assert 100 < realizable < 400
+
+
+def test_package_imports_only_the_standard_library():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, gordian.cli\n"
+        "allowed = set(sys.stdlib_module_names) | {'gordian', '__main__'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - allowed))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

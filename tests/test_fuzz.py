@@ -5,15 +5,16 @@ an exit code), never with a bare Python exception; valid DT codes and
 braid words survive a render/parse round trip unchanged.  Search log
 lines, table files and search config files are fuzzed the same way; the
 knots they can name are kept to a few crossings so each example is cheap.
-Closures of random knot words keep their fingerprint through PD text and
-the Vogel braid, and up to mirror through a DT code.
+Connected sums of two random knot closures keep their fingerprint through
+PD text and the Vogel braid, and up to mirror through a DT code, which is
+refused when both summands are knotted.
 """
 
 import contextlib
 import io
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gordian import cli
@@ -30,7 +31,9 @@ from gordian.codes import DTCode, parse_dt, pd_to_dt, realize_dt, render_dt
 from gordian.diagram import pd_from_text, pd_to_text
 from gordian.errors import GordianError, InputError
 from gordian.identify import build_table, default_table, load_table, save_table
-from gordian.invariants import fingerprint
+from gordian.invariants import fingerprint, jones
+from gordian.laurent import LaurentPoly
+from gordian.moves import connected_sum, simplify_greedy
 from gordian.search import replay_line
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
@@ -123,29 +126,48 @@ def test_braid_render_then_parse_is_identity(letters):
 
 @st.composite
 def knot_words(draw):
-    """A braid word of at most 4 strands and 12 letters closing to a knot."""
+    """A braid word of at most 4 strands and 15 letters closing to a knot.
+
+    Up to 12 drawn letters are followed by a letter at each pair of
+    adjacent strands that still lie in different components of the
+    closure, which joins the two.
+    """
     strands = draw(st.integers(2, 4))
     gens = st.integers(1, strands - 1)
     letter = st.one_of(gens, gens.map(int.__neg__))
     letters = draw(st.lists(letter, max_size=12))
-    word = BraidWord.from_letters(letters, strands)
-    assume(closure_component_count(word) == 1)
+    for i in range(1, strands):
+        count = closure_component_count(BraidWord(tuple(letters), strands))
+        if closure_component_count(BraidWord((*letters, i), strands)) < count:
+            letters.append(draw(st.sampled_from((i, -i))))
+    word = BraidWord(tuple(letters), strands)
+    assert closure_component_count(word) == 1
     return word
 
 
 @FUZZ
-@given(knot_words())
-def test_pd_dt_and_braid_round_trips_keep_the_fingerprint(word):
-    d = braid_closure(word)
+@given(knot_words(), knot_words())
+def test_pd_dt_and_braid_round_trips_keep_the_fingerprint(word, other):
+    left, right = braid_closure(word), braid_closure(other)
+    d = connected_sum(left, right)
     fp = fingerprint(d)
     assert fingerprint(pd_from_text(pd_to_text(d))) == fp
     assert fingerprint(braid_closure(vogel_braid(d))) == fp
+    if all(_nontrivial(simplify_greedy(k)) for k in (left, right)):
+        # A code would not fix each summand's chirality.
+        with pytest.raises(InputError):
+            pd_to_dt(d)
+        return
     try:
         code = pd_to_dt(d)
     except InputError:
-        return  # composite: a code would not fix each summand's chirality
+        return  # a diagram of a trivial summand can still look composite
     fr = fingerprint(realize_dt(code))
     assert fr in (fp, fp.mirrored())
+
+
+def _nontrivial(d) -> bool:
+    return d.n >= 3 and jones(d) != LaurentPoly.one()
 
 
 def _tokens(valid, broken=("", "x", "-", "1.5")):
