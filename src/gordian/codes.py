@@ -6,8 +6,10 @@ the even-labelled strand passes over at that crossing.  Realization embeds
 the code's 4-valent shadow in the sphere by parity arithmetic on its
 interlacement graph (rejecting unrealizable codes) and resolves the mirror
 ambiguity with a fixed writhe rule.  Each connected piece of that graph is
-one prime block of the shadow, embedded uniquely up to reflection, so a
-composite code realizes one fixed choice of summand reflections.
+one prime summand of the shadow, embedded uniquely up to reflection, and
+the pieces come in the order the strand first meets them from label 1.  A
+composite code realizes one fixed choice of summand reflections, and only
+summands of 3 or more crossings vote on the chirality.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Editor, PDDiagram
+from .diagram import Editor, PDDiagram, interlacement
 from .errors import InputError, InternalError, UnrealizableError
-from .moves import deconnect_sum, mirror
 
 
 @dataclass(frozen=True)
@@ -76,17 +77,9 @@ def flip_entries(code: DTCode, positions) -> DTCode:
     return DTCode(tuple(-e if i in idx else e for i, e in enumerate(code.entries)))
 
 
-def _crossing_at(code: DTCode) -> dict[int, int]:
-    """Map traversal time -> crossing index."""
-    crossing_at: dict[int, int] = {}
-    for i, e in enumerate(code.entries):
-        crossing_at[2 * i + 1] = i
-        crossing_at[abs(e)] = i
-    return crossing_at
-
-
-def _embed_shadow(code: DTCode) -> list[bool]:
-    """Rotation of each crossing in a planar embedding of the code's shadow.
+def _embed_shadow(code: DTCode) -> tuple[list[bool], list[list[int]]]:
+    """Rotation of each crossing in a planar embedding of the code's shadow,
+    and the pieces of its interlacement graph.
 
     Ports are numbered 0 odd-in, 1 even-in, 2 odd-out, 3 even-out, and bit
     ``True`` means port 1 follows port 0 counterclockwise.  Crossings c and
@@ -101,20 +94,14 @@ def _embed_shadow(code: DTCode) -> list[bool]:
     ``True``.
     """
     n = code.n
-    crossing_at = _crossing_at(code)
-    passed = [0]  # passed[t]: XOR mask of the crossings met at times 1..t
-    for t in range(1, 2 * n + 1):
-        passed.append(passed[-1] ^ 1 << crossing_at[t])
-    rows = []
+    sequence = [0] * (2 * n)  # the crossing met at times 1..2n
     for i, e in enumerate(code.entries):
-        a, b = sorted((2 * i + 1, abs(e)))
-        rows.append(passed[b - 1] ^ passed[a])
+        sequence[2 * i] = sequence[abs(e) - 1] = i
+    rows, pieces = interlacement(sequence)
     bits: list[bool | None] = [None] * n
-    for root in range(n):
-        if bits[root] is not None:
-            continue
-        bits[root] = True
-        stack = [root]
+    for piece in pieces:
+        bits[piece[0]] = True
+        stack = [piece[0]]
         while stack:
             u = stack.pop()
             for v in range(n):
@@ -131,20 +118,29 @@ def _embed_shadow(code: DTCode) -> list[bool]:
                     raise UnrealizableError(
                         f"DT code {list(code.entries)} has no planar realization"
                     )
-    return bits
+    return bits, pieces
 
 
 def realize_dt(code: DTCode) -> PDDiagram:
     """Build a diagram traversing the code, chirality fixed by writhe.
 
-    Among the two reflected realizations the one with writhe >= 0 is
-    returned; a writhe-0 tie goes to the lexicographically smaller
-    crossing-sign vector.
+    Only the crossings of summands (interlacement pieces) of 3 or more
+    crossings vote, or every crossing when no summand is that large, so a
+    kink or a 2-crossing twist never picks the mirror image.  Among the two
+    reflected realizations the one whose voters have writhe >= 0 is
+    returned; a zero tie goes to the lexicographically smaller sign vector
+    of the voters.  The mirror image is laid out from the negated code.
     """
     n = code.n
     if n == 0:
         return PDDiagram((), 1)
-    bits = _embed_shadow(code)
+    bits, pieces = _embed_shadow(code)
+    signs = [1 if (e > 0) != bit else -1 for e, bit in zip(code.entries, bits)]
+    big = {c for piece in pieces if len(piece) >= 3 for c in piece}
+    vote = [s for c, s in enumerate(signs) if c in big or not big]
+    entries = code.entries
+    if sum(vote) < 0 or (sum(vote) == 0 and [-s for s in vote] < vote):
+        entries = tuple(-e for e in entries)
     two_n = 2 * n
 
     def prev_arc(t: int) -> int:
@@ -152,7 +148,7 @@ def realize_dt(code: DTCode) -> PDDiagram:
 
     ed = Editor()
     ends: dict[tuple[int, bool], tuple[int, int]] = {}  # (arc, leaving?) -> dart
-    for i, entry in enumerate(code.entries):
+    for i, entry in enumerate(entries):
         a, b = 2 * i + 1, abs(entry)
         # Port layout: 0 odd-in, 1 even-in, 2 odd-out, 3 even-out.
         arc_at_port = (prev_arc(a), prev_arc(b), a, b)
@@ -165,20 +161,7 @@ def realize_dt(code: DTCode) -> PDDiagram:
             ends[arc_at_port[port], port >= 2] = (cid, slot)
     for arc in range(1, two_n + 1):
         ed.connect(ends[arc, True], ends[arc, False])
-    d = ed.to_diagram()
-    return _normalize_chirality(d)
-
-
-def _normalize_chirality(d: PDDiagram) -> PDDiagram:
-    signs = tuple(c.sign for c in d.crossings)
-    w = sum(signs)
-    if w < 0:
-        return mirror(d)
-    if w == 0:
-        flipped = tuple(-s for s in signs)
-        if flipped < signs:
-            return mirror(d)
-    return d
+    return ed.to_diagram()
 
 
 def pd_to_dt(d: PDDiagram) -> DTCode:
@@ -189,11 +172,6 @@ def pd_to_dt(d: PDDiagram) -> DTCode:
     """
     if not d.is_knot:
         raise InputError("pd_to_dt expects a one-component diagram")
-    if sum(part.n >= 3 for part in deconnect_sum(d)) >= 2:
-        raise InputError(
-            "a DT code cannot fix the chirality of each summand of a "
-            "composite diagram"
-        )
     n = d.n
     if n == 0:
         return DTCode(())
@@ -203,6 +181,12 @@ def pd_to_dt(d: PDDiagram) -> DTCode:
     for e in walk:
         c, slot = d.edge_ends[e][1]
         arrivals.append((c, slot == 0))
+    _, pieces = interlacement([c for c, _ in arrivals])
+    if sum(len(piece) >= 3 for piece in pieces) >= 2:
+        raise InputError(
+            "a DT code cannot fix the chirality of each summand of a "
+            "composite diagram"
+        )
     best: tuple[int, ...] | None = None
     for start in range(two_n):
         times: dict[int, list[tuple[int, bool]]] = {}

@@ -190,6 +190,42 @@ class PDDiagram:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
 
 
+def interlacement(sequence: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Interlacement graph of a closed strand through crossings ``0..n-1``.
+
+    ``sequence`` is the crossing met at each of the 2n passes along the
+    strand, so each crossing appears twice.  Row c is the bit mask of the
+    crossings passed strictly between c's two passes.  Pieces are the
+    connected components, each sorted, in the order the strand first meets
+    them.  No crossing outside a piece interlaces it, so each piece of a
+    knot diagram is one summand that splits no further.
+    """
+    n = len(sequence) // 2
+    rows = [0] * n
+    opened: dict[int, int] = {}  # crossing -> passed mask after its first pass
+    passed = 0
+    for c in sequence:
+        if c in opened:
+            rows[c] = passed ^ opened[c]
+        passed ^= 1 << c
+        opened.setdefault(c, passed)
+    pieces: list[list[int]] = []
+    placed = 0
+    for c in sequence:
+        if placed >> c & 1:
+            continue
+        piece = frontier = 1 << c
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier ^= 1 << v
+            new = rows[v] & ~piece
+            piece |= new
+            frontier |= new
+        placed |= piece
+        pieces.append([v for v in range(n) if piece >> v & 1])
+    return rows, pieces
+
+
 def validate_pd(d: PDDiagram) -> list[str]:
     """Return a list of structural violations (empty means valid).
 
@@ -315,9 +351,7 @@ class Editor:
         ed._next = d.n
         for ci, c in enumerate(d.crossings):
             ed.signs[ci] = c.sign
-        for tail, head in d.edge_ends.values():
-            ed.adj[tail] = head
-            ed.adj[head] = tail
+        ed.adj = dict(d.dart_partner)
         return ed
 
     def new_crossing(self, sign: int) -> int:

@@ -19,7 +19,6 @@ the Jones variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import braid as braid_mod
@@ -338,11 +337,24 @@ def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
     raise InternalError(f"Alexander value at 1 is {at_one}, not a unit")
 
 
-def _symmetric_signature(rows: list[list[Fraction]]) -> int:
-    """Signature of a symmetric rational matrix by congruent elimination."""
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InternalError(f"fraction-free step left a remainder: {num} / {den}")
+    return q
+
+
+def _symmetric_signature(rows: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix by congruent elimination.
+
+    The block below each pivot is updated fraction-free (Bareiss): it is
+    the rational Schur complement times the previous pivot, so a rational
+    pivot is positive when two consecutive pivots agree in sign.
+    """
     n = len(rows)
     a = [row[:] for row in rows]
     pos = neg = 0
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             swap = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
@@ -371,22 +383,15 @@ def _symmetric_signature(rows: list[list[Fraction]]) -> int:
                     a[i], a[r] = a[r], a[i]
                     for row in a:
                         row[i], row[r] = row[r], row[i]
-        pivot = a[i][i]
-        if pivot == 0:
-            continue
-        if pivot > 0:
+        p = a[i][i]  # nonzero: a pair sum puts 2 * a[r][s] on the diagonal
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for r in range(i + 1, n):
-            if a[r][i] == 0:
-                continue
-            f = a[r][i] / pivot
-            for j in range(i, n):
-                a[r][j] -= f * a[i][j]
-        for r in range(i + 1, n):
-            a[i][r] = Fraction(0)
-            a[r][i] = Fraction(0)
+            for j in range(i + 1, n):
+                a[r][j] = _exact_div(p * a[r][j] - a[r][i] * a[i][j], prev)
+        prev = p
     return pos - neg
 
 
@@ -394,10 +399,9 @@ def signature(x: PDDiagram | BraidWord) -> int:
     """Knot signature, the signature of ``V + V^T``."""
     V = seifert_matrix(_as_braid(x))
     m = len(V)
-    sym = [
-        [Fraction(V[i][j] + V[j][i]) for j in range(m)] for i in range(m)
-    ]
-    return _symmetric_signature(sym)
+    return _symmetric_signature(
+        [[V[i][j] + V[j][i] for j in range(m)] for i in range(m)]
+    )
 
 
 def determinant(x: PDDiagram | BraidWord) -> int:
@@ -431,19 +435,22 @@ class WirtingerPresentation:
             for gen, exp in rel:
                 row[gen] += exp
             rows.append(row)
-        mat = [[Fraction(x) for x in row] for row in rows]
-        rank = 0
+        # Fraction-free (Bareiss) row echelon form: rank = pivot count.
+        rank, prev = 0, 1
         cols = len(self.generators)
         for col in range(cols):
-            pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
             if pivot is None:
                 continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            for r in range(len(mat)):
-                if r != rank and mat[r][col] != 0:
-                    f = mat[r][col] / mat[rank][col]
-                    for j in range(col, cols):
-                        mat[r][j] -= f * mat[rank][j]
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            p = rows[rank][col]
+            for r in range(rank + 1, len(rows)):
+                f = rows[r][col]
+                rows[r] = [
+                    _exact_div(p * x - f * y, prev)
+                    for x, y in zip(rows[r], rows[rank])
+                ]
+            prev = p
             rank += 1
         return cols - rank
 

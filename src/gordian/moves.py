@@ -23,6 +23,7 @@ from .diagram import (
     Dart,
     Editor,
     PDDiagram,
+    interlacement,
     out_slots,
 )
 from .errors import InputError, InternalError
@@ -361,12 +362,10 @@ def connected_sum(a: PDDiagram, b: PDDiagram) -> PDDiagram:
         return a
     ed = Editor.from_diagram(a)
     shift = a.n
-    for ci, c in enumerate(b.crossings):
-        ed.signs[shift + ci] = c.sign
-        ed._next = max(ed._next, shift + ci + 1)
+    for c in b.crossings:
+        ed.new_crossing(c.sign)  # ids shift, shift + 1, ...
     for tail, head in b.edge_ends.values():
-        ed.adj[(tail[0] + shift, tail[1])] = (head[0] + shift, head[1])
-        ed.adj[(head[0] + shift, head[1])] = (tail[0] + shift, tail[1])
+        ed.connect((tail[0] + shift, tail[1]), (head[0] + shift, head[1]))
     ta = a.edge_ends[min(a.edge_ends)][0]
     tb0, hb0 = b.edge_ends[min(b.edge_ends)]
     tb = (tb0[0] + shift, tb0[1])
@@ -379,74 +378,25 @@ def connected_sum(a: PDDiagram, b: PDDiagram) -> PDDiagram:
 
 
 def deconnect_sum(d: PDDiagram) -> tuple[PDDiagram, ...]:
-    """Split a knot diagram along visible two-edge cuts, recursively.
+    """Split a knot diagram into its prime summands.
 
-    Returns the factor diagrams left to right; a diagram with no such cut
-    is returned whole.
+    Each piece of the interlacement graph of the strand (see
+    :func:`~gordian.diagram.interlacement`) is one summand, drawn by
+    smoothing out every crossing outside it.  Summands come in the order
+    the strand first meets them, walking from edge 1; a diagram with one
+    piece is returned whole.
     """
     if not d.is_knot:
         raise InputError("deconnect_sum expects a one-component diagram")
     if d.n == 0:
         return (d,)
-    edges = sorted(d.edge_ends)
-    incident: dict[int, list[int]] = {ci: [] for ci in range(d.n)}
-    for e, (tail, head) in d.edge_ends.items():
-        incident[tail[0]].append(e)
-        incident[head[0]].append(e)
-    other_end = {
-        e: {tail[0]: head[0], head[0]: tail[0]}
-        for e, (tail, head) in d.edge_ends.items()
-    }
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            reached = {0}
-            stack = [0]
-            while stack:
-                ci = stack.pop()
-                for g in incident[ci]:
-                    if g in (e, f):
-                        continue
-                    nb = other_end[g][ci]
-                    if nb not in reached:
-                        reached.add(nb)
-                        stack.append(nb)
-            if len(reached) == d.n:
-                continue
-            halves = _split_at(d, e, f, reached)
-            if halves is not None:
-                return halves
-    return (d,)
-
-
-def _split_at(
-    d: PDDiagram, e: int, f: int, side: set[int]
-) -> tuple[PDDiagram, ...] | None:
-    te, he = d.edge_ends[e]
-    tf, hf = d.edge_ends[f]
-    if (he[0] in side) == (hf[0] in side):
-        return None  # the strand does not run side-to-side through both
-    if he[0] not in side:
-        e, f = f, e
-        te, he, tf, hf = tf, hf, te, he
-    halves: list[PDDiagram] = []
-    for crossings, inner, outer in (
-        (side, he, tf),
-        (set(range(d.n)) - side, hf, te),
-    ):
-        ed = Editor()
-        keep = sorted(crossings)
-        for ci in keep:
-            ed.signs[ci] = d.crossings[ci].sign
-        ed._next = (max(keep) + 1) if keep else 0
-        for g, (tail, head) in d.edge_ends.items():
-            if g in (e, f):
-                continue
-            if tail[0] in crossings:
-                ed.adj[tail] = head
-                ed.adj[head] = tail
-        ed.connect(outer, inner)
-        halves.append(ed.to_diagram())
-    out: list[PDDiagram] = []
-    for half in halves:
-        out.extend(deconnect_sum(half))
-    return tuple(out)
+    sequence = [d.edge_ends[e][1][0] for e in d.components[0]]
+    _, pieces = interlacement(sequence)
+    if len(pieces) == 1:
+        return (d,)
+    parts = []
+    for piece in pieces:
+        ed = Editor.from_diagram(d)
+        ed.smooth_out(set(range(d.n)).difference(piece))
+        parts.append(ed.to_diagram())
+    return tuple(parts)

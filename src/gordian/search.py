@@ -21,7 +21,7 @@ from .braid import (
     vogel_braid,
 )
 from .diagram import PDDiagram
-from .errors import InputError, ResourceError, UnrealizableError
+from .errors import InputError, ResourceError
 from .identify import KnotTableEntry, default_table, identify
 from .invariants import Fingerprint, fingerprint
 from .moves import backtrack_randomize
@@ -148,7 +148,7 @@ def run_pipeline(
                 )
             flips = tuple(sorted(rng.sample(range(len(braid)), cfg.k_changes)))
             result, fp = evaluate_candidate(braid, flips, base_fp, table)
-        except (ResourceError, UnrealizableError) as exc:
+        except ResourceError as exc:
             if log is not None:
                 log(f"{trial} {tseed} - - skip({type(exc).__name__}) -")
             continue

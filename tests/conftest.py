@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gordian.braid import BraidWord, braid_closure, closure_component_count
+from gordian.diagram import Editor
 from gordian.invariants import seifert_matrix
 from gordian.laurent import LaurentPoly
 
@@ -81,6 +82,149 @@ def planar_rotations(code) -> list[tuple[bool, ...]]:
         if faces == n + 2:
             planar.append(bits)
     return planar
+
+
+# ---------------------------------------------------------------------------
+# Independent summand oracle (two-edge cuts of the crossing graph)
+# ---------------------------------------------------------------------------
+
+
+def two_edge_cut_split(d) -> tuple:
+    """Prime summands of a knot diagram, split along two-edge cuts.
+
+    Tries every pair of edges; when removing both disconnects the crossing
+    graph, each side is closed up by one new edge and split again.  This
+    is quadratic in the edges and shares nothing with the package's
+    interlacement pieces except ``Editor.to_diagram``.
+    """
+    assert d.is_knot
+    if d.n == 0:
+        return (d,)
+    edges = sorted(d.edge_ends)
+    incident = {ci: [] for ci in range(d.n)}
+    for e, (tail, head) in d.edge_ends.items():
+        incident[tail[0]].append(e)
+        incident[head[0]].append(e)
+    for i, e in enumerate(edges):
+        for f in edges[i + 1:]:
+            reached = {0}
+            stack = [0]
+            while stack:
+                ci = stack.pop()
+                for g in incident[ci]:
+                    if g in (e, f):
+                        continue
+                    tail, head = d.edge_ends[g]
+                    nb = head[0] if tail[0] == ci else tail[0]
+                    if nb not in reached:
+                        reached.add(nb)
+                        stack.append(nb)
+            if len(reached) < d.n:
+                return _split_at_cut(d, e, f, reached)
+    return (d,)
+
+
+def _split_at_cut(d, e: int, f: int, side: set) -> tuple:
+    # The strand enters ``side`` along one cut edge and leaves along the
+    # other; each half is closed up by joining its two loose ends.
+    te, he = d.edge_ends[e]
+    tf, hf = d.edge_ends[f]
+    if he[0] not in side:
+        te, he, tf, hf = tf, hf, te, he
+    assert he[0] in side and hf[0] not in side
+    parts = []
+    for crossings, inner, outer in (
+        (side, he, tf),
+        (set(range(d.n)) - side, hf, te),
+    ):
+        ed = Editor()
+        for ci in sorted(crossings):
+            ed.signs[ci] = d.crossings[ci].sign
+        for g, (tail, head) in d.edge_ends.items():
+            if g not in (e, f) and tail[0] in crossings:
+                ed.connect(tail, head)
+        ed.connect(outer, inner)
+        parts.extend(two_edge_cut_split(ed.to_diagram()))
+    return tuple(parts)
+
+
+# ---------------------------------------------------------------------------
+# Independent rational elimination (signature and rank)
+# ---------------------------------------------------------------------------
+
+
+def fraction_signature(rows: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix by elimination over Q.
+
+    Zero pivots are handled by a symmetric swap with a later nonzero
+    diagonal entry, else by adding a row and column with a nonzero
+    off-diagonal entry to another (which puts twice that entry on the
+    diagonal).
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                pair = next(
+                    (
+                        (r, s)
+                        for r in range(i, n)
+                        for s in range(r + 1, n)
+                        if a[r][s] != 0
+                    ),
+                    None,
+                )
+                if pair is None:
+                    break  # the remaining block is zero
+                r, s = pair
+                for j in range(n):
+                    a[r][j] += a[s][j]
+                for row in a:
+                    row[r] += row[s]
+                if r != i:
+                    a[i], a[r] = a[r], a[i]
+                    for row in a:
+                        row[i], row[r] = row[r], row[i]
+        pivot = a[i][i]
+        if pivot == 0:
+            continue
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            if a[r][i] == 0:
+                continue
+            f = a[r][i] / pivot
+            for j in range(i, n):
+                a[r][j] -= f * a[i][j]
+        for r in range(i + 1, n):
+            a[i][r] = Fraction(0)
+            a[r][i] = Fraction(0)
+    return pos - neg
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Q."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

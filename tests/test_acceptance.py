@@ -45,7 +45,7 @@ from gordian.moves import (
     simplify_global,
 )
 from gordian.search import SearchConfig, evaluate_candidate, run_pipeline
-from tests.conftest import int_det, random_knot_diagram
+from tests.conftest import int_det, random_knot_diagram, two_edge_cut_split
 
 
 class _verdict:
@@ -189,7 +189,7 @@ def test_criterion_6_property_suites():
         done = 0
         while done < 100:
             d = random_knot_diagram(rng, max_crossings=12)
-            if sum(part.n >= 3 for part in deconnect_sum(d)) >= 2:
+            if sum(part.n >= 3 for part in two_edge_cut_split(d)) >= 2:
                 done += 1
                 with pytest.raises(InputError):
                     pd_to_dt(d)

@@ -22,8 +22,12 @@ from gordian.diagram import validate_pd
 from gordian.errors import InputError, UnrealizableError
 from gordian.invariants import determinant, fingerprint, jones
 from gordian.laurent import LaurentPoly
-from gordian.moves import deconnect_sum, mirror
-from tests.conftest import planar_rotations, random_knot_diagram
+from gordian.moves import mirror
+from tests.conftest import (
+    planar_rotations,
+    random_knot_diagram,
+    two_edge_cut_split,
+)
 
 
 def test_parse_dt_accepts_well_formed_codes():
@@ -130,7 +134,7 @@ def test_dt_round_trip_up_to_mirror(rng):
     seen = 0
     while seen < 30:
         d = random_knot_diagram(rng, max_crossings=12)
-        if sum(part.n >= 3 for part in deconnect_sum(d)) >= 2:
+        if sum(part.n >= 3 for part in two_edge_cut_split(d)) >= 2:
             seen += 1
             with pytest.raises(InputError):
                 pd_to_dt(d)
@@ -147,8 +151,9 @@ def test_dt_round_trip_up_to_mirror(rng):
         assert again == code or pd_to_dt(mirror(r)) == code
 
 
-def _interlacement_pieces(code: DTCode) -> int:
-    """Connected pieces of the graph joining crossings whose passes interlace."""
+def _piece_labels(code: DTCode) -> list[int]:
+    """Connected piece of each crossing in the graph joining crossings
+    whose passes interlace."""
     spans = [sorted((2 * i + 1, abs(e))) for i, e in enumerate(code.entries)]
     piece = list(range(code.n))
     for c, (a, b) in enumerate(spans):
@@ -156,7 +161,12 @@ def _interlacement_pieces(code: DTCode) -> int:
             if (a < x < b) != (a < y < b):
                 old, new = piece[d], piece[c]
                 piece = [new if p == old else p for p in piece]
-    return len(set(piece))
+    return piece
+
+
+def _interlacement_pieces(code: DTCode) -> int:
+    """Connected pieces of the graph joining crossings whose passes interlace."""
+    return len(set(_piece_labels(code)))
 
 
 def test_embedding_matches_the_face_count_oracle():
@@ -172,11 +182,34 @@ def test_embedding_matches_the_face_count_oracle():
                 realize_dt(code)
             continue
         realizable += 1
-        assert tuple(_embed_shadow(code)) in planar
+        assert tuple(_embed_shadow(code)[0]) in planar
         # Each piece is embedded uniquely up to reflection.
         assert len(planar) == 2 ** _interlacement_pieces(code)
         assert validate_pd(realize_dt(code)) == []
     assert 100 < realizable < 400
+
+
+def test_flipping_a_crossing_of_a_small_summand_keeps_the_knot():
+    # A summand of 1 or 2 crossings is unknotted whatever its crossings,
+    # so changing one must not change the knot, nor let a kink's sign pick
+    # the chirality of the rest.
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 400:
+        n = rng.randint(4, 10)
+        evens = rng.sample(range(2, 2 * n + 1, 2), n)
+        code = DTCode(tuple(rng.choice((1, -1)) * e for e in evens))
+        labels = _piece_labels(code)
+        small = [c for c in range(n) if labels.count(labels[c]) < 3]
+        if not small:
+            continue
+        try:
+            fp = fingerprint(realize_dt(code))
+        except UnrealizableError:
+            continue
+        checked += 1
+        for c in small:
+            assert fingerprint(realize_dt(flip_entries(code, {c}))) == fp, (code, c)
 
 
 def test_package_imports_only_the_standard_library():

@@ -1,0 +1,51 @@
+"""Byte-for-byte transcripts of the paper check and of DT realizations.
+
+``data/verify_paper.txt`` is the exact standard output of ``gordian
+verify-paper``.  The order in which the base closure's two summands come
+out decides which one prints ``(mirror)``, so the whole transcript is
+pinned, not only its last line.  ``data/convert_pd.txt`` holds ``gordian
+convert --to pd`` of every bundled name and of every DT code in the
+bundled certificates, before and after its crossing changes.
+"""
+
+from pathlib import Path
+
+from gordian.certify import adjacency_certificate_10_139, paper_certificate
+from gordian.cli import main
+from gordian.codes import DTCode, flip_entries, render_dt
+from gordian.identify import BUNDLED_CODES
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _convert_commands() -> list[list[str]]:
+    names = dict.fromkeys(name for name, _ in BUNDLED_CODES)
+    commands = [("--name", name) for name in names]
+    for cert in (paper_certificate(), adjacency_certificate_10_139()):
+        for step in cert.steps:
+            code = step.presentation
+            if isinstance(code, DTCode):
+                flipped = flip_entries(code, step.change_indices)
+                commands.append(("--dt", render_dt(code)))
+                commands.append(("--dt", render_dt(flipped)))
+    return [["convert", *args, "--to", "pd"] for args in dict.fromkeys(commands)]
+
+
+def convert_transcript(capsys) -> str:
+    """Each command line as ``$ gordian ...`` followed by its output."""
+    out = []
+    for argv in _convert_commands():
+        assert main(argv) == 0
+        out.append("$ gordian " + " ".join(argv) + "\n" + capsys.readouterr().out)
+    return "".join(out)
+
+
+def test_verify_paper_transcript_is_unchanged(capsys):
+    assert main(["verify-paper"]) == 0
+    expected = (DATA / "verify_paper.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_convert_to_pd_is_unchanged(capsys):
+    expected = (DATA / "convert_pd.txt").read_text(encoding="utf-8")
+    assert convert_transcript(capsys) == expected

@@ -29,7 +29,9 @@ from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
     FINGERPRINT_BUDGET,
     FINGERPRINT_WIDTH,
+    WirtingerPresentation,
     _contraction_order,
+    _symmetric_signature,
     alexander,
     determinant,
     fingerprint,
@@ -51,6 +53,8 @@ from gordian.moves import (
     simplify_greedy,
 )
 from tests.conftest import (
+    fraction_rank,
+    fraction_signature,
     int_det,
     random_knot_diagram,
     random_knot_word,
@@ -118,6 +122,56 @@ def test_signature_anchors():
     assert signature(T27) == 6
     assert signature(T34) == 6
     assert signature(braid_closure(BraidWord((), 1))) == 0
+
+
+def _random_symmetric(rng: random.Random) -> list[list[int]]:
+    """A symmetric integer matrix, often with zero diagonal or singular."""
+    n = rng.randint(0, 8)
+    spread = rng.choice((1, 2, 5))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randint(-spread, spread)
+    if n and rng.random() < 0.3:
+        for i in range(n):
+            a[i][i] = 0
+    if n > 1 and rng.random() < 0.3:
+        # Copy a row and column onto another: singular, same symmetry.
+        i, j = rng.sample(range(n), 2)
+        for k in range(n):
+            a[j][k] = a[i][k]
+        for k in range(n):
+            a[k][j] = a[k][i]
+    return a
+
+
+def test_signature_matches_the_fraction_oracle(rng):
+    for _ in range(500):
+        a = _random_symmetric(rng)
+        assert _symmetric_signature(a) == fraction_signature(a), a
+    for _ in range(40):
+        V = seifert_matrix(random_knot_word(rng, max_letters=14))
+        m = len(V)
+        sym = [[V[i][j] + V[j][i] for j in range(m)] for i in range(m)]
+        assert _symmetric_signature(sym) == fraction_signature(sym)
+
+
+def test_abelianized_rank_matches_the_fraction_oracle(rng):
+    for _ in range(200):
+        gens = rng.randint(1, 7)
+        relators = tuple(
+            tuple(
+                (rng.randrange(gens), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 4))
+            )
+            for _ in range(rng.randint(0, 7))
+        )
+        w = WirtingerPresentation(tuple("g" * gens), relators)
+        rows = [[0] * gens for _ in relators]
+        for row, rel in zip(rows, relators):
+            for gen, exp in rel:
+                row[gen] += exp
+        assert w.abelianized_rank() == gens - fraction_rank(rows)
 
 
 def test_determinant_anchors():

@@ -4,7 +4,7 @@ import random
 
 from gordian import moves
 from gordian.braid import BraidWord, braid_closure
-from gordian.diagram import validate_pd
+from gordian.diagram import pd_to_text, validate_pd
 from gordian.invariants import (
     alexander,
     determinant,
@@ -26,7 +26,7 @@ from gordian.moves import (
     simplify_global,
     simplify_greedy,
 )
-from tests.conftest import random_knot_diagram
+from tests.conftest import random_knot_diagram, two_edge_cut_split
 
 
 def trefoil():
@@ -166,6 +166,27 @@ def test_deconnect_sum_prime_diagram_is_single_factor():
     parts = deconnect_sum(trefoil())
     assert len(parts) == 1
     assert parts[0].n == 3
+
+
+def test_deconnect_sum_matches_the_two_edge_cut_oracle(rng):
+    def closure():
+        return random_knot_diagram(rng, max_crossings=7)
+
+    diagrams = []
+    for i in range(30):
+        diagrams.append(random_knot_diagram(rng, max_crossings=12))
+        diagrams.append(connected_sum(closure(), closure()))
+        diagrams.append(connected_sum(connected_sum(closure(), closure()), closure()))
+        diagrams.append(
+            backtrack_randomize(connected_sum(closure(), closure()), 12, seed=i)
+        )
+    for d in diagrams:
+        parts = deconnect_sum(d)
+        assert sorted(map(pd_to_text, parts)) == sorted(
+            map(pd_to_text, two_edge_cut_split(d))
+        )
+        assert sum(p.n for p in parts) == d.n
+        assert all(p.is_knot and validate_pd(p) == [] for p in parts)
 
 
 def test_reducing_moves_reduce(rng):
