@@ -349,9 +349,12 @@ def parse_certificate(text: str) -> UnknottingCertificate:
             raise InputError(f"presentation must be DT:[...] or BRAID:[...], got {ptext!r}")
         flips = block.pop("flip", "")
         try:
-            indices = frozenset(int(tok) for tok in flips.replace(",", " ").split())
+            listed = [int(tok) for tok in flips.replace(",", " ").split()]
         except ValueError:
             raise InputError(f"flip indices must be integers, got {flips!r}") from None
+        indices = frozenset(listed)
+        if len(indices) != len(listed):
+            raise InputError(f"flip indices must not repeat, got {flips!r}")
         before = block.pop("before", None)
         after = block.pop("after", None)
         if block:

@@ -47,17 +47,6 @@ def strand_exit(sign: int, slot: int) -> int:
     raise InternalError(f"slot {slot} is not an entry slot at sign {sign:+d}")
 
 
-def strand_entry(sign: int, slot: int) -> int:
-    """Inverse of :func:`strand_exit`: exit slot -> entry slot."""
-    if slot == 2:
-        return 0
-    if sign > 0 and slot == 3:
-        return 1
-    if sign < 0 and slot == 1:
-        return 3
-    raise InternalError(f"slot {slot} is not an exit slot at sign {sign:+d}")
-
-
 def seifert_exit(sign: int, slot: int) -> int:
     """Continue through the orientation-preserving smoothing of a crossing."""
     if sign > 0:
@@ -336,6 +325,12 @@ class Editor:
     Crossings have stable integer ids; the edge structure is a partner map
     on darts.  ``to_diagram`` compacts ids and assigns dense edge labels in
     strand-traversal order, so equal editors yield equal diagrams.
+
+    A *pass* is one strand's trip through a crossing, from its entry dart
+    to its exit dart; each crossing has an under pass and an over pass.
+    Every crossing rewrite is built from two primitives: ``smooth_out``
+    splices passes out of their strands, and ``thread`` routes an edge
+    through new passes.
     """
 
     def __init__(self) -> None:
@@ -375,74 +370,37 @@ class Editor:
     def is_out_dart(self, d: Dart) -> bool:
         return d[1] in out_slots(self.signs[d[0]])
 
+    def passes(self, c: int) -> tuple[tuple[Dart, Dart], ...]:
+        """The under pass and the over pass of crossing ``c``."""
+        sign = self.signs[c]
+        return tuple(((c, s), (c, strand_exit(sign, s))) for s in in_slots(sign))
+
+    def thread(self, tail: Dart, passes: Iterable[tuple[Dart, Dart]]) -> None:
+        """Route the edge leaving ``tail`` through ``passes`` in order, then
+        on to its old head.  The passes' darts must be unwired."""
+        head = self.disconnect(tail)
+        for entry, exit_ in passes:
+            self.connect(tail, entry)
+            tail = exit_
+        self.connect(tail, head)
+
     def smooth_out(self, removed: Iterable[int]) -> None:
-        """Delete crossings, splicing every strand straight through them.
+        """Delete crossings, splicing each of their passes out of its strand.
 
-        Strand pieces that close up entirely inside the removed set become
-        free loops.  This is the common primitive behind the reducing
-        Reidemeister moves.
+        A pass whose ends are wired to each other closed a strand lying
+        wholly inside the removed set, and becomes a free loop.  This is
+        the common primitive behind the reducing Reidemeister moves.
         """
-        rem = set(removed)
-        if not rem:
-            return
-        rem_darts = {(c, s) for c in rem for s in range(4)}
-
-        def through(d: Dart) -> Dart:
-            # Continue the strand across crossing d[0], with the walk's
-            # direction inferred from whether d is an entry or exit dart.
-            c, s = d
-            sign = self.signs[c]
-            if s in in_slots(sign):
-                return (c, strand_exit(sign, s))
-            return (c, strand_entry(sign, s))
-
-        # Reconnect strands that leave the removed region.
-        boundary = [
-            d for d in self.adj if d not in rem_darts and self.adj[d] in rem_darts
-        ]
-        new_pairs: list[tuple[Dart, Dart]] = []
-        for u in boundary:
-            if not self.is_out_dart(u):
-                continue  # walk each strand once, along its orientation
-            v = self.adj[u]
-            while v in rem_darts:
-                v = self.adj[through(v)]
-            new_pairs.append((u, v))
-
-        # Count strands trapped entirely inside the removed region.  A walk
-        # is trapped only if it returns to its own starting dart; running
-        # into territory seen from an earlier start proves nothing, since
-        # that walk may have begun mid-strand.
-        visited: set[Dart] = set()
-        for d0 in sorted(rem_darts):
-            if d0 in visited or self.adj[d0] not in rem_darts:
-                continue
-            if not self.is_out_dart(d0):
-                continue
-            trapped = True
-            d = d0
-            while True:
-                visited.add(d)
-                v = self.adj[d]
-                visited.add(v)
-                if v not in rem_darts:
-                    trapped = False
-                    break
-                d = through(v)
-                if d == d0:
-                    break
-            if trapped:
-                self.free_loops += 1
-
-        for d in rem_darts:
-            partner = self.adj.pop(d, None)
-            if partner is not None and partner not in rem_darts:
-                self.adj.pop(partner, None)
-        for c in rem:
+        for c in set(removed):
+            for a, b in self.passes(c):
+                p = self.adj.pop(a)
+                q = self.adj.pop(b)
+                if p == b:
+                    self.free_loops += 1
+                else:
+                    self.adj[p] = q
+                    self.adj[q] = p
             del self.signs[c]
-        for u, v in new_pairs:
-            self.adj[u] = v
-            self.adj[v] = u
 
     def to_diagram(self) -> PDDiagram:
         order = sorted(self.signs)

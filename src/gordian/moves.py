@@ -150,16 +150,8 @@ def _apply_r3(d: PDDiagram, site: tuple) -> PDDiagram:
 def _apply_r1_plus(d: PDDiagram, site: tuple) -> PDDiagram:
     tail, sign, first_under = site
     ed = Editor.from_diagram(d)
-    head = ed.disconnect(tail)
-    c = ed.new_crossing(sign)
-    if sign > 0 and first_under:
-        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 1)), ed.connect((c, 3), head)
-    elif sign < 0 and first_under:
-        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 3)), ed.connect((c, 1), head)
-    elif sign < 0:
-        ed.connect(tail, (c, 3)), ed.connect((c, 1), (c, 0)), ed.connect((c, 2), head)
-    else:
-        ed.connect(tail, (c, 1)), ed.connect((c, 3), (c, 0)), ed.connect((c, 2), head)
+    under, over = ed.passes(ed.new_crossing(sign))
+    ed.thread(tail, (under, over) if first_under else (over, under))
     return ed.to_diagram()
 
 
@@ -172,28 +164,12 @@ def push_arc_over(d: PDDiagram, da: Dart, db: Dart) -> PDDiagram:
     ed = Editor.from_diagram(d)
     fa = ed.is_out_dart(da)
     fb = ed.is_out_dart(db)
-    ta, ha = (da, ed.adj[da]) if fa else (ed.adj[da], da)
-    tb, hb = (db, ed.adj[db]) if fb else (ed.adj[db], db)
-    ed.disconnect(ta)
-    ed.disconnect(tb)
-    c1 = ed.new_crossing(+1 if fb else -1)
-    c2 = ed.new_crossing(-1 if fb else +1)
-    if fb:
-        ed.connect(ta, (c1, 1))
-        ed.connect((c1, 3), (c2, 3))
-        ed.connect((c2, 1), ha)
-    else:
-        ed.connect(ta, (c1, 3))
-        ed.connect((c1, 1), (c2, 1))
-        ed.connect((c2, 3), ha)
-    if fa == fb:
-        ed.connect(tb, (c2, 0))
-        ed.connect((c2, 2), (c1, 0))
-        ed.connect((c1, 2), hb)
-    else:
-        ed.connect(tb, (c1, 0))
-        ed.connect((c1, 2), (c2, 0))
-        ed.connect((c2, 2), hb)
+    ta = da if fa else ed.adj[da]
+    tb = db if fb else ed.adj[db]
+    u1, o1 = ed.passes(ed.new_crossing(+1 if fb else -1))
+    u2, o2 = ed.passes(ed.new_crossing(-1 if fb else +1))
+    ed.thread(ta, (o1, o2))
+    ed.thread(tb, (u2, u1) if fa == fb else (u1, u2))
     return ed.to_diagram()
 
 

@@ -170,7 +170,8 @@ def replay_line(
     over as written: they chose the braid and the flips, which the line
     already states.  Returns (verdict, recomputed line); the verdict is
     True only when the recomputation reproduces the line byte for byte.
-    A malformed line raises ``InputError``.
+    A malformed line, or one whose flips do not strictly increase as
+    ``search`` writes them, raises ``InputError``.
     """
     if table is None:
         table = default_table()
@@ -190,6 +191,8 @@ def replay_line(
         flips = tuple(int(tok) for tok in body.split(",")) if body else ()
     except ValueError:
         raise InputError(f"flip indices must be integers, got {flip_text!r}") from None
+    if any(a >= b for a, b in zip(flips, flips[1:])):
+        raise InputError(f"flip indices must strictly increase, got {flip_text!r}")
     result, fp = evaluate_candidate(braid, flips, fingerprint(base), table)
     rebuilt = _hit_line(trial, seed, braid, flips, result, fp.render())
     return rebuilt == line.strip(), rebuilt

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from gordian.braid import BraidWord, braid_closure, closure_component_count
-from gordian.diagram import Editor
+from gordian.diagram import Dart, Editor, in_slots, strand_exit
+from gordian.errors import InternalError
 from gordian.invariants import seifert_matrix
 from gordian.laurent import LaurentPoly
+from gordian.moves import backtrack_randomize
 
 
 def random_knot_word(
@@ -37,6 +39,33 @@ def random_knot_diagram(rng: random.Random, max_crossings: int = 12):
         d = braid_closure(word)
         if d.n <= max_crossings:
             return d
+
+
+def random_link_diagram(
+    rng: random.Random, max_strands: int = 4, max_letters: int = 10
+):
+    """The closure of a random braid word: a knot or a link, with a free
+    loop for each strand height the word never touches."""
+    strands = rng.randint(2, max_strands)
+    letters = [
+        rng.choice((1, -1)) * rng.randint(1, strands - 1)
+        for _ in range(rng.randint(1, max_letters))
+    ]
+    return braid_closure(BraidWord.from_letters(letters, strands))
+
+
+def editing_corpus(rng: random.Random, count: int) -> list:
+    """``count`` diagrams, cycling through knot closures, braid-closure
+    links and knot closures scrambled by random Reidemeister moves."""
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            out.append(random_knot_diagram(rng))
+        elif i % 3 == 1:
+            out.append(random_link_diagram(rng))
+        else:
+            out.append(backtrack_randomize(random_knot_diagram(rng, 8), 12, seed=i))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +254,137 @@ def fraction_rank(rows: list[list[int]]) -> int:
             mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Independent editing oracles (the boundary walk and the per-case wiring
+# that the pass primitives replaced)
+# ---------------------------------------------------------------------------
+
+
+def strand_entry(sign: int, slot: int) -> int:
+    """Inverse of :func:`strand_exit`: exit slot -> entry slot."""
+    if slot == 2:
+        return 0
+    if sign > 0 and slot == 3:
+        return 1
+    if sign < 0 and slot == 1:
+        return 3
+    raise InternalError(f"slot {slot} is not an exit slot at sign {sign:+d}")
+
+
+def walk_smooth_out(ed: Editor, removed) -> None:
+    """Delete crossings from ``ed`` by walking each strand across the
+    removed region from its boundary, then counting the strands trapped
+    inside it as free loops."""
+    rem = set(removed)
+    if not rem:
+        return
+    rem_darts = {(c, s) for c in rem for s in range(4)}
+
+    def through(d: Dart) -> Dart:
+        # Continue the strand across crossing d[0], with the walk's
+        # direction inferred from whether d is an entry or exit dart.
+        c, s = d
+        sign = ed.signs[c]
+        if s in in_slots(sign):
+            return (c, strand_exit(sign, s))
+        return (c, strand_entry(sign, s))
+
+    # Reconnect strands that leave the removed region.
+    boundary = [
+        d for d in ed.adj if d not in rem_darts and ed.adj[d] in rem_darts
+    ]
+    new_pairs: list[tuple[Dart, Dart]] = []
+    for u in boundary:
+        if not ed.is_out_dart(u):
+            continue  # walk each strand once, along its orientation
+        v = ed.adj[u]
+        while v in rem_darts:
+            v = ed.adj[through(v)]
+        new_pairs.append((u, v))
+
+    # Count strands trapped entirely inside the removed region.  A walk
+    # is trapped only if it returns to its own starting dart; running
+    # into territory seen from an earlier start proves nothing, since
+    # that walk may have begun mid-strand.
+    visited: set[Dart] = set()
+    for d0 in sorted(rem_darts):
+        if d0 in visited or ed.adj[d0] not in rem_darts:
+            continue
+        if not ed.is_out_dart(d0):
+            continue
+        trapped = True
+        d = d0
+        while True:
+            visited.add(d)
+            v = ed.adj[d]
+            visited.add(v)
+            if v not in rem_darts:
+                trapped = False
+                break
+            d = through(v)
+            if d == d0:
+                break
+        if trapped:
+            ed.free_loops += 1
+
+    for d in rem_darts:
+        partner = ed.adj.pop(d, None)
+        if partner is not None and partner not in rem_darts:
+            ed.adj.pop(partner, None)
+    for c in rem:
+        del ed.signs[c]
+    for u, v in new_pairs:
+        ed.adj[u] = v
+        ed.adj[v] = u
+
+
+def wired_r1_plus(d, site):
+    """R1 increase wired case by case."""
+    tail, sign, first_under = site
+    ed = Editor.from_diagram(d)
+    head = ed.disconnect(tail)
+    c = ed.new_crossing(sign)
+    if sign > 0 and first_under:
+        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 1)), ed.connect((c, 3), head)
+    elif sign < 0 and first_under:
+        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 3)), ed.connect((c, 1), head)
+    elif sign < 0:
+        ed.connect(tail, (c, 3)), ed.connect((c, 1), (c, 0)), ed.connect((c, 2), head)
+    else:
+        ed.connect(tail, (c, 1)), ed.connect((c, 3), (c, 0)), ed.connect((c, 2), head)
+    return ed.to_diagram()
+
+
+def wired_push_arc_over(d, da, db):
+    """R2 increase wired case by case."""
+    ed = Editor.from_diagram(d)
+    fa = ed.is_out_dart(da)
+    fb = ed.is_out_dart(db)
+    ta, ha = (da, ed.adj[da]) if fa else (ed.adj[da], da)
+    tb, hb = (db, ed.adj[db]) if fb else (ed.adj[db], db)
+    ed.disconnect(ta)
+    ed.disconnect(tb)
+    c1 = ed.new_crossing(+1 if fb else -1)
+    c2 = ed.new_crossing(-1 if fb else +1)
+    if fb:
+        ed.connect(ta, (c1, 1))
+        ed.connect((c1, 3), (c2, 3))
+        ed.connect((c2, 1), ha)
+    else:
+        ed.connect(ta, (c1, 3))
+        ed.connect((c1, 1), (c2, 1))
+        ed.connect((c2, 3), ha)
+    if fa == fb:
+        ed.connect(tb, (c2, 0))
+        ed.connect((c2, 2), (c1, 0))
+        ed.connect((c1, 2), hb)
+    else:
+        ed.connect(tb, (c1, 0))
+        ed.connect((c1, 2), (c2, 0))
+        ed.connect((c2, 2), hb)
+    return ed.to_diagram()
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ def test_parse_certificate_errors():
         )
     with pytest.raises(InputError, match="flip indices"):
         parse_certificate("step:\npresentation: DT:[4, 6, 2]\nflip: 0, x\n")
+    # A repeated index would claim one more crossing change than is made.
+    with pytest.raises(InputError, match="must not repeat"):
+        parse_certificate("step:\npresentation: DT:[4, 6, 2]\nflip: 0, 0\n")
 
 
 def test_parse_certificate_ignores_comments_and_blanks():

@@ -194,6 +194,14 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
             "search", "--base", "BRAID:[1,1,1]",
             "--replay", "1 2 [1,1,1] [x] base alexander=1",
         ],
+        [
+            "search", "--base", "BRAID:[1,1,1]",
+            "--replay", "1 2 [1,1,1] [0,0] base alexander=1",
+        ],
+        [
+            "search", "--base", "BRAID:[1,1,1]",
+            "--replay", "1 2 [1,1,1] [2,0] base alexander=1",
+        ],
         ["convert", "--braid", "BRAID:[-2,-2,1,1,1,-2]", "--to", "dt"],
         ["simplify", "--name", "7_1", "--budget", "-5"],
     ],
@@ -205,6 +213,8 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
         "negative-k",
         "negative-trials",
         "replay-flip-not-integer",
+        "replay-flip-repeated",
+        "replay-flip-decreasing",
         "dt-of-square-knot",
         "negative-budget",
     ],

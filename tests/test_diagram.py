@@ -11,9 +11,9 @@ from gordian.diagram import (
     pd_to_text,
     validate_pd,
 )
-from gordian.errors import InputError
+from gordian.errors import InputError, InternalError
 from gordian.moves import apply_move, find_reducing_moves
-from tests.conftest import random_knot_diagram
+from tests.conftest import editing_corpus, random_knot_diagram, walk_smooth_out
 
 
 def trefoil() -> PDDiagram:
@@ -101,8 +101,65 @@ def test_pd_text_rejects_invalid_diagram():
 
 
 # ---------------------------------------------------------------------------
-# Editor.smooth_out component accounting
+# Editor primitives: smooth_out splices passes out, thread lays them in
 # ---------------------------------------------------------------------------
+
+
+def test_smooth_out_matches_the_boundary_walk(rng):
+    # Knots, braid-closure links and scrambles, each with 20 random removal
+    # sets of every size (empty and whole included): the splice and the
+    # old walk must leave the same signs, dart map and free loops.
+    sets = looped = 0
+    for d in editing_corpus(rng, 150):
+        for _ in range(20):
+            removed = rng.sample(range(d.n), rng.randint(0, d.n))
+            ed, oracle = Editor.from_diagram(d), Editor.from_diagram(d)
+            ed.smooth_out(removed)
+            walk_smooth_out(oracle, removed)
+            assert ed.signs == oracle.signs
+            assert ed.adj == oracle.adj
+            assert ed.free_loops == oracle.free_loops
+            sets += 1
+            looped += ed.free_loops > d.free_loops
+    assert sets >= 3000
+    assert looped >= 300  # removals that close strands into free loops
+
+
+def test_passes_follow_the_slot_conventions():
+    ed = Editor()
+    pos, neg = ed.new_crossing(+1), ed.new_crossing(-1)
+    assert ed.passes(pos) == (((pos, 0), (pos, 2)), ((pos, 1), (pos, 3)))
+    assert ed.passes(neg) == (((neg, 0), (neg, 2)), ((neg, 3), (neg, 1)))
+
+
+def test_thread_lays_passes_in_order():
+    d = trefoil()
+    ed = Editor.from_diagram(d)
+    tail = (0, 2)
+    head = ed.adj[tail]
+    first, second = ed.new_crossing(+1), ed.new_crossing(-1)
+    under, over = ed.passes(first)
+    ed.thread(tail, (over, ed.passes(second)[0], under))
+    assert ed.adj[tail] == (first, 1)
+    assert ed.adj[(first, 3)] == (second, 0)
+    assert ed.adj[(second, 2)] == (first, 0)
+    assert ed.adj[(first, 2)] == head
+    # The second crossing's over pass is still unwired.
+    assert (second, 1) not in ed.adj and (second, 3) not in ed.adj
+
+
+def test_thread_through_no_passes_restores_the_edge():
+    d = trefoil()
+    ed = Editor.from_diagram(d)
+    ed.thread((1, 3), ())
+    assert ed.adj == d.dart_partner
+    assert pd_to_text(ed.to_diagram()) == pd_to_text(d)
+
+
+def test_thread_refuses_a_wired_dart():
+    ed = Editor.from_diagram(trefoil())
+    with pytest.raises(InternalError, match="already wired"):
+        ed.thread((0, 2), [ed.passes(1)[0]])
 
 
 def test_smooth_out_single_kink_leaves_free_loop():

@@ -6,6 +6,9 @@ out decides which one prints ``(mirror)``, so the whole transcript is
 pinned, not only its last line.  ``data/convert_pd.txt`` holds ``gordian
 convert --to pd`` of every bundled name and of every DT code in the
 bundled certificates, before and after its crossing changes.
+``data/search_seed7.txt`` is the log of ``gordian search`` on the README
+base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
+move kind and braid through Vogel's pushes.
 """
 
 from pathlib import Path
@@ -16,6 +19,7 @@ from gordian.codes import DTCode, flip_entries, render_dt
 from gordian.identify import BUNDLED_CODES
 
 DATA = Path(__file__).resolve().parent / "data"
+README_BASE = "BRAID:[1,-4,2,3,3,3,2,3,2,2,4,-3,-3,-3,-3,-1,-3,-2,-3,-3]"
 
 
 def _convert_commands() -> list[list[str]]:
@@ -49,3 +53,10 @@ def test_verify_paper_transcript_is_unchanged(capsys):
 def test_convert_to_pd_is_unchanged(capsys):
     expected = (DATA / "convert_pd.txt").read_text(encoding="utf-8")
     assert convert_transcript(capsys) == expected
+
+
+def test_search_log_is_unchanged(capsys):
+    argv = ["search", "--base", README_BASE, "--seed", "7", "--trials", "10"]
+    assert main([*argv, "--k", "2"]) == 0
+    expected = (DATA / "search_seed7.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -1,6 +1,7 @@
 """Reidemeister moves, mirroring, crossing changes, and simplification."""
 
 import random
+from collections import Counter
 
 from gordian import moves
 from gordian.braid import BraidWord, braid_closure
@@ -26,7 +27,13 @@ from gordian.moves import (
     simplify_global,
     simplify_greedy,
 )
-from tests.conftest import random_knot_diagram, two_edge_cut_split
+from tests.conftest import (
+    editing_corpus,
+    random_knot_diagram,
+    two_edge_cut_split,
+    wired_push_arc_over,
+    wired_r1_plus,
+)
 
 
 def trefoil():
@@ -187,6 +194,24 @@ def test_deconnect_sum_matches_the_two_edge_cut_oracle(rng):
         )
         assert sum(p.n for p in parts) == d.n
         assert all(p.is_knot and validate_pd(p) == [] for p in parts)
+
+
+def test_increasing_moves_match_the_case_tables(rng):
+    # Every sampled R1+ and R2+ on 500 diagrams threads to the same diagram
+    # as the old case-by-case wiring.
+    kinds = Counter()
+    for d in editing_corpus(rng, 500):
+        for _ in range(4):
+            move = sample_increasing_move(d, rng)
+            if move is None:
+                continue
+            if move.kind == "R1+":
+                wired = wired_r1_plus(d, move.site)
+            else:
+                wired = wired_push_arc_over(d, *move.site)
+            assert pd_to_text(apply_move(d, move)) == pd_to_text(wired)
+            kinds[move.kind] += 1
+    assert kinds["R1+"] >= 500 and kinds["R2+"] >= 500
 
 
 def test_reducing_moves_reduce(rng):

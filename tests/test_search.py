@@ -1,9 +1,12 @@
 """Randomized search pipeline: determinism, self-identification, replay."""
 
+from pathlib import Path
+
 import pytest
 
 from gordian.braid import braid_closure
 from gordian.certify import BASE_BRAID
+from gordian.errors import InputError
 from gordian.identify import default_table
 from gordian.invariants import fingerprint
 from gordian.search import (
@@ -13,6 +16,8 @@ from gordian.search import (
     replay_line,
     run_pipeline,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,17 @@ def test_replay_rejects_malformed_lines(table, base):
         replay_line("x 2 [1] [] base alexander=1", base, table)
     with pytest.raises(InputError, match="flip indices"):
         replay_line("1 2 [1,1,1] [x] base alexander=1", base, table)
+
+
+def test_replay_refuses_flips_that_search_never_writes(table, base):
+    # search writes sorted, distinct flips.  Reordered flips rebuild to a
+    # line that passes, and repeated ones claim a change that is never made.
+    line = (DATA / "search_seed7.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert " [9,12] " in line and replay_line(line, base, table)[0]
+    _, single = replay_line(line.replace("[9,12]", "[9]"), base, table)
+    for tampered in (line.replace("[9,12]", "[12,9]"), single.replace("[9]", "[9,9]")):
+        with pytest.raises(InputError, match="strictly increase"):
+            replay_line(tampered, base, table)
 
 
 def test_impossible_flip_count_is_skipped(table):
