@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .diagram import Dart, Editor, PDDiagram, in_slots, out_slots
+from .diagram import Dart, Editor, PDDiagram, in_slots, negate_at, out_slots, parse_int_list
 from .errors import InputError, InternalError
 from .moves import push_arc_over
 
@@ -80,14 +80,7 @@ def closure_component_count(word: BraidWord) -> int:
 
 def flip_letters(word: BraidWord, positions) -> BraidWord:
     """Invert the letters at the given positions (crossing changes)."""
-    pos = set(positions)
-    bad = [p for p in pos if not 0 <= p < len(word.letters)]
-    if bad:
-        raise InputError(f"letter positions out of range: {sorted(bad)}")
-    letters = tuple(
-        -x if i in pos else x for i, x in enumerate(word.letters)
-    )
-    return BraidWord(letters, word.strands)
+    return BraidWord(negate_at(word.letters, positions), word.strands)
 
 
 def braid_closure(word: BraidWord) -> PDDiagram:
@@ -121,19 +114,7 @@ def braid_closure(word: BraidWord) -> PDDiagram:
 
 def parse_braid(text: str) -> BraidWord:
     """Parse ``BRAID:[1, -4, 2]`` or a bare bracketed list of letters."""
-    s = text.strip()
-    if s.startswith("BRAID:"):
-        s = s[len("BRAID:"):].strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise InputError(f"braid text must be a bracketed list, got {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return BraidWord((), 1)
-    try:
-        letters = tuple(int(tok) for tok in body.replace(",", " ").split())
-    except ValueError as exc:
-        raise InputError(f"bad braid letter in {text!r}") from exc
-    return BraidWord.from_letters(letters)
+    return BraidWord.from_letters(parse_int_list(text, "braid word", "BRAID:"))
 
 
 def render_braid(word: BraidWord) -> str:

@@ -21,7 +21,7 @@ from .braid import (
     render_braid,
 )
 from .codes import DTCode, flip_entries, parse_dt, realize_dt, render_dt
-from .diagram import PDDiagram
+from .diagram import PDDiagram, parse_int_list
 from .errors import InputError
 from .identify import (
     KnotTableEntry,
@@ -59,29 +59,27 @@ class UnknottingCertificate:
         return sum(len(s.change_indices) for s in self.steps)
 
 
-def _realize(p: Presentation) -> PDDiagram:
+def parse_presentation(text: str) -> Presentation | None:
+    """Read ``DT:[...]`` or ``BRAID:[...]``; None when neither prefix starts
+    the text."""
+    if text.startswith("DT:"):
+        return parse_dt(text)
+    if text.startswith("BRAID:"):
+        return parse_braid(text)
+    return None
+
+
+def realize(p: Presentation, flips=()) -> PDDiagram:
+    """The diagram of ``p`` after changing the crossings at ``flips``."""
     if isinstance(p, DTCode):
-        return realize_dt(p)
-    return braid_closure(p)
-
-
-def _apply_changes(step: CertificateStep) -> PDDiagram:
-    if isinstance(step.presentation, DTCode):
-        return realize_dt(flip_entries(step.presentation, step.change_indices))
-    return braid_closure(flip_letters(step.presentation, step.change_indices))
+        return realize_dt(flip_entries(p, flips))
+    return braid_closure(flip_letters(p, flips))
 
 
 def _render_presentation(p: Presentation) -> str:
     if isinstance(p, DTCode):
         return render_dt(p)
     return "BRAID:" + render_braid(p)
-
-
-def _first_mismatch(evidence) -> str:
-    for name, left, right in evidence.comparisons:
-        if left != right:
-            return name
-    return "fingerprint"
 
 
 @dataclass(frozen=True)
@@ -128,13 +126,17 @@ def _check_claim(
 
 
 def check_certificate(
-    cert: UnknottingCertificate, table: list[KnotTableEntry] | None = None
+    cert: UnknottingCertificate,
+    table: list[KnotTableEntry] | None = None,
+    log=None,
 ) -> CertificateReport:
     """Verify every link of the chain; any mismatch fails the certificate.
 
     The final step must reduce to a 0-crossing diagram unless it claims a
     named knot other than the unknot (certificates may be fragments that
     stop at a reference knot, such as a torus-knot cascade ending at 7_1).
+    ``log``, when given, receives a ``== step N ==`` header before each
+    step is checked and the step's report lines as soon as it is done.
     """
     if table is None:
         table = default_table()
@@ -142,10 +144,12 @@ def check_certificate(
     prev_after: Fingerprint | None = None
     all_passed = True
     for i, step in enumerate(cert.steps):
+        if log is not None:
+            log(f"== step {i + 1} ==")
         lines = [f"step {i + 1}: {_render_presentation(step.presentation)}"]
         ok = True
         if prev_after is not None or step.claimed_before is not None:
-            before = fingerprint(_realize(step.presentation))
+            before = fingerprint(realize(step.presentation))
         if prev_after is not None:
             ev = same_knot_evidence(prev_after, before)
             if ev.passed:
@@ -154,15 +158,15 @@ def check_certificate(
                 )
             else:
                 ok = False
+                name = next(n for n, left, right in ev.comparisons if left != right)
                 lines.append(
-                    f"  FAIL: does not continue step {i} "
-                    f"(mismatched {_first_mismatch(ev)})"
+                    f"  FAIL: does not continue step {i} (mismatched {name})"
                 )
         if step.claimed_before is not None:
             ok &= _check_claim(before, step.claimed_before, table, "before", lines)
         changed = sorted(step.change_indices)
         lines.append(f"  change crossings {changed} ({len(changed)} changes)")
-        result = _apply_changes(step)
+        result = realize(step.presentation, step.change_indices)
         last = i == len(cert.steps) - 1
         must_unknot = last and step.claimed_after in (None, "unknot")
         if must_unknot:
@@ -185,6 +189,9 @@ def check_certificate(
                 )
         prev_after = after
         reports.append(StepReport(i, ok, len(step.change_indices), tuple(lines)))
+        if log is not None:
+            for line in lines:
+                log(line)
         if not ok:
             all_passed = False
             break
@@ -341,17 +348,11 @@ def parse_certificate(text: str) -> UnknottingCertificate:
         if "presentation" not in block:
             raise InputError("certificate step is missing a presentation")
         ptext = block.pop("presentation")
-        if ptext.startswith("DT:"):
-            pres: Presentation = parse_dt(ptext)
-        elif ptext.startswith("BRAID:"):
-            pres = parse_braid(ptext)
-        else:
+        pres = parse_presentation(ptext)
+        if pres is None:
             raise InputError(f"presentation must be DT:[...] or BRAID:[...], got {ptext!r}")
         flips = block.pop("flip", "")
-        try:
-            listed = [int(tok) for tok in flips.replace(",", " ").split()]
-        except ValueError:
-            raise InputError(f"flip indices must be integers, got {flips!r}") from None
+        listed = parse_int_list(f"[{flips}]", "flip indices")
         indices = frozenset(listed)
         if len(indices) != len(listed):
             raise InputError(f"flip indices must not repeat, got {flips!r}")

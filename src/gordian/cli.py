@@ -8,9 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .braid import braid_closure, parse_braid, render_braid, vogel_braid
-from .certify import check_certificate, paper_certificate, paper_summands
+from .certify import (
+    check_certificate,
+    paper_certificate,
+    paper_summands,
+    parse_presentation,
+    realize,
+)
 from .codes import parse_dt, pd_to_dt, realize_dt, render_dt
 from .diagram import PDDiagram, pd_to_text
 from .errors import InputError, InternalError, ResourceError, UnrealizableError
@@ -60,11 +67,10 @@ def _resolve_input(args, table: list[KnotTableEntry]) -> PDDiagram:
 
 
 def _resolve_base(expr: str, table: list[KnotTableEntry]) -> PDDiagram:
-    if expr.startswith("DT:"):
-        return realize_dt(parse_dt(expr))
-    if expr.startswith("BRAID:"):
-        return braid_closure(parse_braid(expr))
-    return _knot_by_expr(expr, table)
+    presentation = parse_presentation(expr)
+    if presentation is None:
+        return _knot_by_expr(expr, table)
+    return realize(presentation)
 
 
 def _load_table(args) -> list[KnotTableEntry]:
@@ -143,46 +149,35 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise InputError(f"config line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
         options[key.strip()] = value.strip()
-    allowed = {
-        "seed",
-        "trials",
-        "k_changes",
-        "n_backtrack",
-        "targets",
-    }
-    unknown = set(options) - allowed
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
     return options
 
 
 def _merge_search_config(args) -> SearchConfig:
-    """Command-line flags win over the config file, which wins over defaults."""
+    """Command-line flags win over the config file; ``SearchConfig`` holds
+    every default.  The config keys are its field names, and so are the
+    flags' destinations."""
     opts = _read_config_file(args.config) if args.config else {}
-
-    def pick(cli_value, key: str, default, cast=int):
-        if cli_value is not None:
-            return cli_value
-        if key in opts:
-            try:
-                return cast(opts[key])
-            except ValueError:
-                raise InputError(
-                    f"config {key}={opts[key]!r} is not an integer"
-                ) from None
-        return default
-
-    seed = pick(args.seed, "seed", None)
-    if seed is None:
-        raise InputError("search needs an explicit seed (--seed or seed= in config)")
-    targets_text = pick(args.targets, "targets", "", str)
-    return SearchConfig(
-        seed=seed,
-        trials=pick(args.trials, "trials", 1),
-        k_changes=pick(args.k, "k_changes", 1),
-        n_backtrack=pick(args.n_backtrack, "n_backtrack", 30),
-        targets=tuple(t for t in targets_text.split(",") if t),
-    )
+    keys = [f.name for f in fields(SearchConfig)]
+    unknown = set(opts) - set(keys)
+    if unknown:
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
+    given = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None and key in opts:
+            value = opts[key]
+            if key != "targets":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise InputError(f"config {key}={value!r} is not an integer") from None
+        if value is not None:
+            given[key] = value
+        elif key == "seed":
+            raise InputError("search needs an explicit seed (--seed or seed= in config)")
+    if "targets" in given:
+        given["targets"] = tuple(t for t in given["targets"].split(",") if t)
+    return SearchConfig(**given)
 
 
 def cmd_search(args) -> int:
@@ -210,11 +205,7 @@ def cmd_verify_paper(args) -> int:
     summands_ok, lines = paper_summands(table)
     for line in lines:
         print(line)
-    report = check_certificate(paper_certificate(), table)
-    for step in report.steps:
-        print(f"== step {step.index + 1} ==")
-        for line in step.lines:
-            print(line)
+    report = check_certificate(paper_certificate(), table, log=print)
     print(report.summary())
     if summands_ok and report.passed and report.bound == 5:
         print("bound: u(7_1 # mirror 7_1) <= 5")
@@ -275,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="name expression, DT:..., or BRAID:...")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--k", type=int, help="crossing changes per trial")
+    p.add_argument(
+        "--k", type=int, dest="k_changes", metavar="K", help="crossing changes per trial"
+    )
     p.add_argument("--n-backtrack", type=int)
     p.add_argument("--targets", help="comma-separated table names that count as hits")
     p.add_argument("--config", help="flat key=value file with search settings")

@@ -14,10 +14,9 @@ summands of 3 or more crossings vote on the chirality.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .diagram import Editor, PDDiagram, interlacement
+from .diagram import Editor, PDDiagram, interlacement, negate_at, parse_int_list
 from .errors import InputError, InternalError, UnrealizableError
 
 
@@ -46,21 +45,7 @@ class DTCode:
 
 def parse_dt(text: str) -> DTCode:
     """Parse ``DT:[4, 6, 2]`` or a bare bracketed list."""
-    s = text.strip()
-    if s.startswith("DT:"):
-        s = s[3:].strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise InputError(f"DT code must be a bracketed list, got {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return DTCode(())
-    entries = []
-    for token in re.split(r"[,\s]+", body):
-        try:
-            entries.append(int(token))
-        except ValueError as exc:
-            raise InputError(f"bad DT entry {token!r}") from exc
-    return DTCode(tuple(entries))
+    return DTCode(parse_int_list(text, "DT code", "DT:"))
 
 
 def render_dt(code: DTCode) -> str:
@@ -70,11 +55,7 @@ def render_dt(code: DTCode) -> str:
 
 def flip_entries(code: DTCode, positions) -> DTCode:
     """Negate the chosen entries: a crossing change at each coded crossing."""
-    idx = {int(p) for p in positions}
-    for p in idx:
-        if not 0 <= p < code.n:
-            raise InputError(f"flip position {p} out of range for n={code.n}")
-    return DTCode(tuple(-e if i in idx else e for i, e in enumerate(code.entries)))
+    return DTCode(negate_at(code.entries, positions))
 
 
 def _embed_shadow(code: DTCode) -> tuple[list[bool], list[list[int]]]:

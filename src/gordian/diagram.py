@@ -319,6 +319,34 @@ def pd_from_text(text: str) -> PDDiagram:
     return d
 
 
+def parse_int_list(text: str, what: str, prefix: str = "") -> tuple[int, ...]:
+    """Read ``[a, b, ...]``, after ``prefix`` if the text starts with it.
+
+    This is the one grammar of every integer list the package reads (DT
+    codes, braid words, flips): integers separated by commas, whitespace
+    or both, with empty entries skipped, so ``[1,,2,]`` reads as (1, 2).
+    """
+    s = text.strip()
+    if prefix and s.startswith(prefix):
+        s = s[len(prefix):].strip()
+    if s.startswith("[") and s.endswith("]"):
+        try:
+            return tuple(int(tok) for tok in s[1:-1].replace(",", " ").split())
+        except ValueError:
+            pass
+    raise InputError(f"{what} must be a bracketed list of integers, got {text!r}")
+
+
+def negate_at(values: tuple[int, ...], positions) -> tuple[int, ...]:
+    """Negate the entries at ``positions``: crossing changes on a DT code or
+    a braid word.  A position outside ``values`` is refused."""
+    pos = {int(p) for p in positions}
+    bad = sorted(p for p in pos if not 0 <= p < len(values))
+    if bad:
+        raise InputError(f"flip positions {bad} out of range for {len(values)} entries")
+    return tuple(-v if i in pos else v for i, v in enumerate(values))
+
+
 class Editor:
     """Mutable scratch representation used to build and rewrite diagrams.
 
@@ -404,7 +432,6 @@ class Editor:
 
     def to_diagram(self) -> PDDiagram:
         order = sorted(self.signs)
-        index = {cid: i for i, cid in enumerate(order)}
         label: dict[Dart, int] = {}
         next_label = 1
         for cid in order:

@@ -162,6 +162,8 @@ def push_arc_over(d: PDDiagram, da: Dart, db: Dart) -> PDDiagram:
     pushed arc crosses the other twice, staying on top at both crossings.
     """
     ed = Editor.from_diagram(d)
+    if db in (da, ed.adj[da]):
+        raise InputError(f"darts {da} and {db} traverse the same edge")
     fa = ed.is_out_dart(da)
     fb = ed.is_out_dart(db)
     ta = da if fa else ed.adj[da]

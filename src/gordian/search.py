@@ -12,23 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .braid import (
-    BraidWord,
-    braid_closure,
-    flip_letters,
-    parse_braid,
-    render_braid,
-    vogel_braid,
-)
-from .diagram import PDDiagram
+from .braid import BraidWord, parse_braid, render_braid, vogel_braid
+from .certify import realize
+from .diagram import PDDiagram, parse_int_list
 from .errors import InputError, ResourceError
 from .identify import KnotTableEntry, default_table, identify
 from .invariants import Fingerprint, fingerprint
 from .moves import backtrack_randomize
-
-# A scramble larger than this is braided at quadratic cost for no benefit;
-# the trial is skipped instead.
-MAX_CROSSINGS_BEFORE_BRAIDING = 120
 
 
 @dataclass(frozen=True)
@@ -98,8 +88,7 @@ def evaluate_candidate(
     The outcome depends on the braid and the flips alone: the fingerprint
     walk takes no seed, so a log line replays without its trial's seed.
     """
-    changed = flip_letters(braid, flips)
-    fp = fingerprint(braid_closure(changed))
+    fp = fingerprint(realize(braid, flips))
     return _result_token(identify(fp, table), fp, base_fp), fp
 
 
@@ -122,9 +111,10 @@ def run_pipeline(
 ) -> list[SearchHit]:
     """Run all trials; emit one log line per trial via ``log``; return hits.
 
-    Trials that exhaust a resource limit (scramble too large, too few
-    letters to flip, bracket frontier too wide) are skipped, not fatal: the
-    log line carries the error type and the search moves on.
+    A trial that hits a resource limit (a braid with too few letters to
+    flip, or a bracket frontier past ``MAX_FRONTIER_STATES``) is skipped,
+    not fatal: the log line carries the error type and the search moves
+    on.  Every scramble is braided, however large.
     """
     if table is None:
         table = default_table()
@@ -135,11 +125,6 @@ def run_pipeline(
         rng = random.Random(tseed)
         try:
             scramble = backtrack_randomize(base, cfg.n_backtrack, seed=tseed)
-            if scramble.n > MAX_CROSSINGS_BEFORE_BRAIDING:
-                raise ResourceError(
-                    f"scramble has {scramble.n} crossings "
-                    f"(cap {MAX_CROSSINGS_BEFORE_BRAIDING})"
-                )
             braid = vogel_braid(scramble)
             if cfg.k_changes > len(braid):
                 raise ResourceError(
@@ -184,13 +169,7 @@ def replay_line(
     except ValueError as exc:
         raise InputError(f"bad trial or seed in {line!r}") from exc
     braid = parse_braid(braid_text)
-    if not (flip_text.startswith("[") and flip_text.endswith("]")):
-        raise InputError(f"bad flip list {flip_text!r}")
-    body = flip_text[1:-1]
-    try:
-        flips = tuple(int(tok) for tok in body.split(",")) if body else ()
-    except ValueError:
-        raise InputError(f"flip indices must be integers, got {flip_text!r}") from None
+    flips = parse_int_list(flip_text, "flip indices")
     if any(a >= b for a, b in zip(flips, flips[1:])):
         raise InputError(f"flip indices must strictly increase, got {flip_text!r}")
     result, fp = evaluate_candidate(braid, flips, fingerprint(base), table)

@@ -8,13 +8,15 @@ from pathlib import Path
 import pytest
 
 from gordian import cli, invariants
-from gordian.cli import main
-from gordian.codes import realize_dt
-from gordian.errors import InternalError
+from gordian.certify import parse_certificate
+from gordian.cli import build_parser, main
+from gordian.codes import parse_dt, realize_dt
+from gordian.errors import InputError, InternalError
 from gordian.identify import default_table, save_table
 from gordian.invariants import alexander, jones
 from gordian.laurent import LaurentPoly
 from gordian.moves import mirror
+from gordian.search import SearchConfig, run_pipeline
 
 
 def run(capsys, *argv):
@@ -278,6 +280,30 @@ def test_search_cli_logs_and_summary(capsys):
     assert all(" base " in line for line in lines[:-1])
     code, out2, _ = run(capsys, *argv)
     assert out2 == out  # byte-identical reruns
+
+
+def test_search_base_accepts_a_dt_presentation(capsys):
+    argv = ["--seed", "5", "--trials", "2", "--k", "1"]
+    code, out, _ = run(capsys, "search", "--base", "DT:[4, 6, 2]", *argv)
+    assert code == 0
+    log = []
+    cfg = SearchConfig(seed=5, trials=2, k_changes=1)
+    hits = run_pipeline(realize_dt(parse_dt("[4, 6, 2]")), cfg, log=log.append)
+    assert out.splitlines() == [*log, f"hits: {len(hits)} of 2 trials"]
+
+
+@pytest.mark.parametrize("text", ["DT:[4, 6]", "DT:[4, x, 2]", "DT:4, 6, 2", "DT:[3]"])
+def test_bad_dt_presentation_gives_one_error(capsys, text):
+    code, out, err = run(capsys, "search", "--base", text, "--seed", "5")
+    with pytest.raises(InputError) as exc:
+        parse_certificate(f"step:\npresentation: {text}\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: {exc.value}\n"
+
+
+def test_search_defaults_come_from_search_config():
+    args = build_parser().parse_args(["search", "--base", "7_1", "--seed", "5"])
+    assert cli._merge_search_config(args) == SearchConfig(seed=5)
 
 
 def test_search_config_file(capsys, tmp_path):

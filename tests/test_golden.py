@@ -11,8 +11,11 @@ base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
 move kind and braid through Vogel's pushes.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
+from gordian import certify
 from gordian.certify import adjacency_certificate_10_139, paper_certificate
 from gordian.cli import main
 from gordian.codes import DTCode, flip_entries, render_dt
@@ -48,6 +51,28 @@ def test_verify_paper_transcript_is_unchanged(capsys):
     assert main(["verify-paper"]) == 0
     expected = (DATA / "verify_paper.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
+    # Whatever times the transcript by its lines must see each step's
+    # header before that step's diagrams are fingerprinted, and every
+    # earlier step's lines already printed.
+    out = io.StringIO()
+    printed_at_call = []
+
+    def spy(d):
+        printed_at_call.append(out.getvalue())
+        return fingerprint(d)
+
+    fingerprint = certify.fingerprint
+    monkeypatch.setattr(certify, "fingerprint", spy)
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-paper"]) == 0
+    expected = (DATA / "verify_paper.txt").read_text(encoding="utf-8")
+    assert out.getvalue() == expected
+    assert all(expected.startswith(printed) for printed in printed_at_call)
+    last_lines = {printed.splitlines()[-1] for printed in printed_at_call}
+    assert last_lines == {f"== step {i} ==" for i in range(1, 5)}
 
 
 def test_convert_to_pd_is_unchanged(capsys):

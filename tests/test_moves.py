@@ -3,9 +3,12 @@
 import random
 from collections import Counter
 
+import pytest
+
 from gordian import moves
 from gordian.braid import BraidWord, braid_closure
 from gordian.diagram import pd_to_text, validate_pd
+from gordian.errors import InputError
 from gordian.invariants import (
     alexander,
     determinant,
@@ -221,3 +224,13 @@ def test_reducing_moves_reduce(rng):
             out = apply_move(d, move)
             assert out.n < d.n
             assert validate_pd(out) == []
+
+
+def test_push_arc_over_refuses_two_darts_on_one_edge():
+    # Pushing an edge over itself used to return a diagram that is not
+    # planar (V - E + F = 0) instead of refusing.
+    d = trefoil()
+    tail, head = d.edge_ends[1]
+    for da, db in ((tail, head), (head, tail), (tail, tail)):
+        with pytest.raises(InputError, match="same edge"):
+            moves.push_arc_over(d, da, db)

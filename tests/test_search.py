@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gordian.braid import braid_closure
-from gordian.certify import BASE_BRAID
+from gordian.braid import BraidWord, braid_closure, parse_braid
+from gordian.certify import BASE_BRAID, parse_certificate
+from gordian.codes import parse_dt
 from gordian.errors import InputError
 from gordian.identify import default_table
 from gordian.invariants import fingerprint
@@ -116,6 +117,46 @@ def test_replay_refuses_flips_that_search_never_writes(table, base):
     for tampered in (line.replace("[9,12]", "[12,9]"), single.replace("[9]", "[9,9]")):
         with pytest.raises(InputError, match="strictly increase"):
             replay_line(tampered, base, table)
+
+
+# List bodies, each with three slots for the reader's own entries.  A log
+# line splits on whitespace, so the shared table has no whitespace.
+LIST_SPELLINGS = [
+    ("{},{},{}", True),
+    ("{},{},{},", True),
+    (",{},{},{}", True),
+    ("{},,{},{}", True),
+    (",,{},+{},{},,", True),
+    ("", True),
+    (",", True),
+    ("{};{};{}", False),
+    ("{},x{},{}", False),
+    ("{},{}.0,{}", False),
+    ("{},[{}],{}", False),
+    ("({},{},{})", False),
+]
+
+
+@pytest.mark.parametrize("body, accepted", LIST_SPELLINGS)
+def test_every_integer_list_reader_takes_the_same_spellings(table, body, accepted):
+    trefoil = braid_closure(BraidWord.from_letters((1, 1, 1)))
+    flips = body.format(0, 1, 2)
+    readers = {
+        "dt": lambda: parse_dt("DT:[" + body.format(4, 6, 2) + "]"),
+        "braid": lambda: parse_braid("BRAID:[" + body.format(1, 1, 1) + "]"),
+        "replay": lambda: replay_line(f"0 0 [1,1,1] [{flips}] base x", trefoil, table),
+        "certificate": lambda: parse_certificate(
+            f"step:\npresentation: DT:[4, 6, 2]\nflip: {flips}\n"
+        ),
+    }
+    verdicts = {}
+    for name, read in readers.items():
+        try:
+            read()
+            verdicts[name] = True
+        except InputError:
+            verdicts[name] = False
+    assert verdicts == dict.fromkeys(readers, accepted)
 
 
 def test_impossible_flip_count_is_skipped(table):
