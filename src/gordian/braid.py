@@ -16,9 +16,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .diagram import Dart, Editor, PDDiagram, in_slots, negate_at, out_slots, parse_int_list
+from .diagram import Dart, Editor, PDDiagram, in_slots, negate_at, out_slots
+from .diagram import parse_int_list, seifert_exit
 from .errors import InputError, InternalError
-from .moves import push_arc_over
+from .moves import Move, apply_move
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,38 @@ def render_braid(word: BraidWord) -> str:
 _VOGEL_LIMIT = 4000  # safeguard; the move count is quadratically bounded
 
 
-def _circle_map(d: PDDiagram) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    circles = d.seifert_circles()
-    of_edge = {e: i for i, cyc in enumerate(circles) for e in cyc}
-    return circles, of_edge
+def _circle_of(ed: Editor) -> dict[Dart, int]:
+    """The Seifert circle of every dart, circles numbered in no set order."""
+    of: dict[Dart, int] = {}
+    signs, adj = ed.signs, ed.adj
+    for ci, sign in signs.items():
+        for s in out_slots(sign):
+            d = (ci, s)
+            circle = len(of)  # larger than any number given so far
+            while d not in of:
+                head = adj[d]
+                of[d] = of[head] = circle
+                d = (head[0], seifert_exit(signs[head[0]], head[1]))
+    return of
 
 
-def _incoherent_pair(d: PDDiagram) -> tuple[Dart, Dart] | None:
-    """First face pair of co-oriented arcs on different Seifert circles."""
-    _, of_edge = _circle_map(d)
-    for face in d.faces:
-        if len(face) < 2:
-            continue
-        seen: list[tuple[int, bool, Dart]] = []
-        for ci, s in face:
-            edge = d.crossings[ci].edges[s]
-            out = s in out_slots(d.crossings[ci].sign)
-            for circ, out2, dart in seen:
-                if circ != of_edge[edge] and out2 == out:
-                    return dart, (ci, s)
-            seen.append((of_edge[edge], out, (ci, s)))
+def _incoherent_pair(ed: Editor) -> tuple[Dart, Dart] | None:
+    """First face pair of co-oriented arcs on different Seifert circles.
+
+    Until a face yields a pair, all the arcs met on it so far in one
+    direction lie on one circle, so each arc is checked against the first
+    arc met in its direction only.
+    """
+    circle = _circle_of(ed)
+    for face in ed.faces():
+        first: list[Dart | None] = [None, None]  # indexed by is_out_dart
+        for dart in face:
+            out = ed.is_out_dart(dart)
+            prior = first[out]
+            if prior is None:
+                first[out] = dart
+            elif circle[prior] != circle[dart]:
+                return prior, dart
     return None
 
 
@@ -155,27 +168,30 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
     """A braid word whose closure is the given knot.
 
     The number of Seifert circles is preserved, so the result uses exactly
-    as many strands as the diagram has circles.
+    as many strands as the diagram has circles.  The pushes rewrite one
+    editor, which is relabelled once before the braid is read.
     """
     if d.component_count != 1:
         raise InputError("vogel_braid expects a one-component diagram")
     if d.n == 0:
         return BraidWord((), 1)
 
-    for _ in range(_VOGEL_LIMIT):
-        pair = _incoherent_pair(d)
+    ed = Editor.from_diagram(d)
+    for pushes in range(_VOGEL_LIMIT):
+        pair = _incoherent_pair(ed)
         if pair is None:
             break
-        d = push_arc_over(d, pair[0], pair[1])
+        apply_move(ed, Move("R2+", pair))
     else:
         raise InternalError("braiding did not terminate")
 
-    return _read_braid(d)
+    return _read_braid(ed.to_diagram() if pushes else d)
 
 
 def _read_braid(d: PDDiagram) -> BraidWord:
     """Read a braid word off a coherent (nested-circle) diagram."""
-    circles, of_edge = _circle_map(d)
+    circles = d.seifert_circles()
+    of_edge = {e: i for i, cyc in enumerate(circles) for e in cyc}
     k = len(circles)
 
     # Each crossing joins two circles; the multigraph must be a path.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
 
@@ -150,22 +150,7 @@ class PDDiagram:
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face boundaries as dart orbits of ``rotate(partner(dart))``."""
-        partner = self.dart_partner
-        darts = [(ci, s) for ci in range(self.n) for s in range(4)]
-        seen: set[Dart] = set()
-        out: list[tuple[Dart, ...]] = []
-        for d0 in darts:
-            if d0 in seen:
-                continue
-            orbit: list[Dart] = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                orbit.append(d)
-                ci, s = partner[d]
-                d = (ci, (s + 1) % 4)
-            out.append(tuple(orbit))
-        return tuple(out)
+        return face_orbits(range(self.n), self.dart_partner)
 
     def face_edges(self, face: tuple[Dart, ...]) -> tuple[int, ...]:
         """Edges traversed by a face boundary, one per dart of the orbit."""
@@ -177,6 +162,34 @@ class PDDiagram:
 
     def __repr__(self) -> str:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
+
+
+def face_orbits(
+    crossings: Iterable[int], partner: dict[Dart, Dart]
+) -> tuple[tuple[Dart, ...], ...]:
+    """Boundaries of the faces that meet ``crossings``, as dart orbits of
+    ``rotate(partner(dart))``.
+
+    With every crossing id listed in increasing order, these are all the
+    faces, in the order of their least darts, each starting there.
+    """
+    seen: set[Dart] = set()
+    out: list[tuple[Dart, ...]] = []
+    for ci in crossings:
+        for s in range(4):
+            start = (ci, s)
+            if start in seen:
+                continue
+            orbit = [start]
+            cj, t = partner[start]
+            d = (cj, (t + 1) % 4)
+            while d != start:
+                orbit.append(d)
+                cj, t = partner[d]
+                d = (cj, (t + 1) % 4)
+            seen.update(orbit)
+            out.append(tuple(orbit))
+    return tuple(out)
 
 
 def interlacement(sequence: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -348,17 +361,21 @@ def negate_at(values: tuple[int, ...], positions) -> tuple[int, ...]:
 
 
 class Editor:
-    """Mutable scratch representation used to build and rewrite diagrams.
+    """Mutable diagram that the move loops rewrite in place.
 
     Crossings have stable integer ids; the edge structure is a partner map
-    on darts.  ``to_diagram`` compacts ids and assigns dense edge labels in
-    strand-traversal order, so equal editors yield equal diagrams.
+    on darts.  ``to_diagram`` compacts ids in increasing order and assigns
+    dense edge labels in strand-traversal order, so equal editors yield
+    equal diagrams.  Because compaction keeps the order of ids, anything
+    ordered by dart (faces, and the sites found on them) comes out in the
+    same order on an editor as on the diagram it relabels to.
 
     A *pass* is one strand's trip through a crossing, from its entry dart
     to its exit dart; each crossing has an under pass and an over pass.
     Every crossing rewrite is built from two primitives: ``smooth_out``
     splices passes out of their strands, and ``thread`` routes an edge
-    through new passes.
+    through new passes.  ``rewire`` overwrites partner entries at once and
+    returns what undoes it.  ``faces`` are kept until the next rewrite.
     """
 
     def __init__(self) -> None:
@@ -366,21 +383,26 @@ class Editor:
         self.adj: dict[Dart, Dart] = {}
         self.free_loops = 0
         self._next = 0
+        self._kept: dict[str, object] = {}
 
     @classmethod
     def from_diagram(cls, d: PDDiagram) -> "Editor":
+        """Copy ``d`` with crossing ids 0..n-1; until its first rewrite the
+        editor's ``tails`` follow ``d``'s edge labels."""
         ed = cls()
         ed.free_loops = d.free_loops
         ed._next = d.n
         for ci, c in enumerate(d.crossings):
             ed.signs[ci] = c.sign
         ed.adj = dict(d.dart_partner)
+        ed._kept["tails"] = [tail for _, (tail, _) in sorted(d.edge_ends.items())]
         return ed
 
     def new_crossing(self, sign: int) -> int:
         cid = self._next
         self._next += 1
         self.signs[cid] = sign
+        self._kept.clear()
         return cid
 
     def connect(self, a: Dart, b: Dart) -> None:
@@ -388,15 +410,51 @@ class Editor:
             raise InternalError(f"dart already wired: {a} or {b}")
         self.adj[a] = b
         self.adj[b] = a
+        self._kept.clear()
 
     def disconnect(self, a: Dart) -> Dart:
         b = self.adj.pop(a)
         if b != a:
             del self.adj[b]
+        self._kept.clear()
         return b
+
+    def rewire(self, pairs: dict[Dart, Dart]) -> dict[Dart, Dart]:
+        """Overwrite the partners of wired darts at once.
+
+        ``pairs`` must leave the partner map an involution.  Returns the
+        entries it replaced; rewiring with them undoes the change.
+        """
+        old = {a: self.adj[a] for a in pairs}
+        self.adj.update(pairs)
+        self._kept.clear()
+        return old
 
     def is_out_dart(self, d: Dart) -> bool:
         return d[1] in out_slots(self.signs[d[0]])
+
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Face boundaries, ordered as :attr:`PDDiagram.faces` orders them."""
+        if "faces" not in self._kept:
+            self._kept["faces"] = face_orbits(sorted(self.signs), self.adj)
+        return self._kept["faces"]
+
+    def tails(self) -> list[Dart]:
+        """Edge tails in label order: the order in which ``to_diagram``
+        labels edges, or the copied diagram's until the first rewrite."""
+        return self._kept.get("tails") or list(self._strand_tails())
+
+    def _strand_tails(self) -> Iterator[Dart]:
+        # Each strand from the lowest unvisited out slot of the lowest id.
+        seen: set[Dart] = set()
+        for cid in sorted(self.signs):
+            for s in out_slots(self.signs[cid]):
+                d = (cid, s)
+                while d not in seen:
+                    seen.add(d)
+                    yield d
+                    c2, s2 = self.adj[d]
+                    d = (c2, strand_exit(self.signs[c2], s2))
 
     def passes(self, c: int) -> tuple[tuple[Dart, Dart], ...]:
         """The under pass and the over pass of crossing ``c``."""
@@ -429,29 +487,14 @@ class Editor:
                     self.adj[p] = q
                     self.adj[q] = p
             del self.signs[c]
+        self._kept.clear()
 
     def to_diagram(self) -> PDDiagram:
-        order = sorted(self.signs)
         label: dict[Dart, int] = {}
-        next_label = 1
-        for cid in order:
-            for s in out_slots(self.signs[cid]):
-                start = (cid, s)
-                if start in label:
-                    continue
-                d = start
-                while d not in label:
-                    label[d] = next_label
-                    head = self.adj[d]
-                    label[head] = next_label
-                    next_label += 1
-                    c2, s2 = head
-                    d = (c2, strand_exit(self.signs[c2], s2))
+        for k, tail in enumerate(self._strand_tails(), 1):
+            label[tail] = label[self.adj[tail]] = k
         crossings = tuple(
-            Crossing(
-                tuple(label[(cid, s)] for s in range(4)),
-                self.signs[cid],
-            )
-            for cid in order
+            Crossing(tuple(label[(cid, s)] for s in range(4)), self.signs[cid])
+            for cid in sorted(self.signs)
         )
         return PDDiagram(crossings, self.free_loops)

@@ -1,9 +1,15 @@
 """Diagram rewriting: Reidemeister moves, simplification, and sums.
 
-All transformations are pure functions ``PDDiagram -> PDDiagram``; applying
-a move re-labels edges canonically, so equal rewrite histories give equal
-diagrams.  A ``Move`` is bound to the diagram it was discovered on and is
-not meaningful for any other diagram.
+Public calls on a ``PDDiagram`` are pure: each returns a new diagram with
+its edges relabelled canonically (see :meth:`~gordian.diagram.Editor.to_diagram`),
+so equal rewrite histories give equal diagrams.  The move loops (reduction,
+greedy and walked simplification, the scramble, and Vogel braiding in
+:mod:`gordian.braid`) instead copy their input into one ``Editor``,
+rewrite it in place and relabel once at the end.  Site finding and
+``apply_move`` take either form; a diagram is copied into an editor that
+keeps its crossing ids and edge-label order, so both forms give the same
+sites in the same order.  A ``Move`` is bound to the diagram or editor
+state it was found on and is not meaningful for any other.
 
 Site discovery works on faces.  A kink (reducible R1 site) is an edge whose
 two ends meet the same crossing; a reducible R2 site is a two-sided face
@@ -23,6 +29,7 @@ from .diagram import (
     Dart,
     Editor,
     PDDiagram,
+    face_orbits,
     interlacement,
     out_slots,
 )
@@ -69,47 +76,70 @@ def mirror(d: PDDiagram) -> PDDiagram:
 # ---------------------------------------------------------------------------
 
 
-def find_reducing_moves(d: PDDiagram) -> list[Move]:
-    """Reducible R2 then R1 sites, in deterministic face/edge order."""
-    moves: list[Move] = []
-    partner = d.dart_partner
-    for face in d.faces:
-        if len(face) != 2:
-            continue
-        (c1, s1), (c2, s2) = face
-        if c1 == c2:
-            continue
-        if s1 % 2 == partner[(c1, s1)][1] % 2:
-            moves.append(Move("R2-", (c1, c2)))
-    for e in sorted(d.edge_ends):
-        tail, head = d.edge_ends[e]
-        if tail[0] == head[0]:
-            moves.append(Move("R1-", (tail[0],)))
+def _editor(x: PDDiagram | Editor) -> Editor:
+    return x if isinstance(x, Editor) else Editor.from_diagram(x)
+
+
+def _is_kink(adj: dict[Dart, Dart], dart: Dart) -> bool:
+    """Whether the edge at ``dart`` has both ends at one crossing."""
+    return adj[dart][0] == dart[0]
+
+
+def _keeps_level(adj: dict[Dart, Dart], dart: Dart) -> bool:
+    """Whether the edge at ``dart`` is over at both ends or under at both
+    (over slots are odd)."""
+    return dart[1] % 2 == adj[dart][1] % 2
+
+
+def _is_reducible_bigon(adj: dict[Dart, Dart], face: tuple[Dart, ...]) -> bool:
+    """Whether ``face`` is a bigon between two crossings whose edges keep
+    their levels: one strand passes over the other at both."""
+    return len(face) == 2 and face[0][0] != face[1][0] and _keeps_level(adj, face[0])
+
+
+def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
+    """Reducible R2 sites in face order, then R1 sites in edge-label order."""
+    ed = _editor(x)
+    adj = ed.adj
+    moves = [
+        Move("R2-", (face[0][0], face[1][0]))
+        for face in ed.faces()
+        if _is_reducible_bigon(adj, face)
+    ]
+    # Most diagrams have at most one kink, so kinks are put in label order
+    # only when there are several.
+    kinks = [
+        (ci, s)
+        for ci, sign in ed.signs.items()
+        for s in out_slots(sign)
+        if _is_kink(adj, (ci, s))
+    ]
+    if len(kinks) > 1:
+        kinks = [tail for tail in ed.tails() if _is_kink(adj, tail)]
+    moves.extend(Move("R1-", (ci,)) for ci, _ in kinks)
     return moves
 
 
-def find_r3_moves(d: PDDiagram) -> list[Move]:
+def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
     """Triangle slide sites: ``site == (face, p)`` slides edge ``face[p]``."""
+    ed = _editor(x)
     moves: list[Move] = []
-    partner = d.dart_partner
-    for face in d.faces:
-        if len(face) != 3:
-            continue
-        if len({ci for ci, _ in face}) != 3:
+    for face in ed.faces():
+        if len(face) != 3 or len({ci for ci, _ in face}) != 3:
             continue
         for p in range(3):
-            ci, s = face[p]
-            if s % 2 == partner[(ci, s)][1] % 2:
+            if _keeps_level(ed.adj, face[p]):
                 moves.append(Move("R3", (face, p)))
     return moves
 
 
-def find_moves(d: PDDiagram) -> dict[str, list[Move]]:
+def find_moves(x: PDDiagram | Editor) -> dict[str, list[Move]]:
     """All reducing and triangle sites, grouped by kind."""
+    ed = _editor(x)
     grouped: dict[str, list[Move]] = {"R1-": [], "R2-": [], "R3": []}
-    for m in find_reducing_moves(d):
+    for m in find_reducing_moves(ed):
         grouped[m.kind].append(m)
-    grouped["R3"] = find_r3_moves(d)
+    grouped["R3"] = find_r3_moves(ed)
     return grouped
 
 
@@ -118,18 +148,18 @@ def find_moves(d: PDDiagram) -> dict[str, list[Move]]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_r3(d: PDDiagram, site: tuple) -> PDDiagram:
+def _slide(adj: dict[Dart, Dart], site: tuple) -> dict[Dart, Dart]:
+    """The partner entries that slide edge ``face[p]`` across its triangle."""
     face, p = site
-    partner = d.dart_partner
     d1 = face[(p - 1) % 3]
     d2 = face[p]
     d3 = face[(p + 1) % 3]
     x, y, z = d1[0], d2[0], d3[0]
     # Near (triangle-facing) slots of the three strands at their crossings.
     strands = (
-        ((y, d2[1]), (z, partner[d2][1])),  # sliding strand, through Y and Z
-        ((x, d1[1]), (y, partner[d1][1])),  # strand through X and Y
-        ((z, d3[1]), (x, partner[d3][1])),  # strand through Z and X
+        ((y, d2[1]), (z, adj[d2][1])),  # sliding strand, through Y and Z
+        ((x, d1[1]), (y, adj[d1][1])),  # strand through X and Y
+        ((z, d3[1]), (x, adj[d3][1])),  # strand through Z and X
     )
     relocate: dict[Dart, Dart] = {}
     for (g, ng), (h, nh) in strands:
@@ -139,55 +169,54 @@ def _apply_r3(d: PDDiagram, site: tuple) -> PDDiagram:
         relocate[(h, (nh + 2) % 4)] = (g, ng)
     if len(relocate) != 12:
         raise InternalError("triangle slots are not pairwise distinct")
-    ed = Editor.from_diagram(d)
-    new_adj: dict[Dart, Dart] = {}
-    for a, b in ed.adj.items():
-        new_adj[relocate.get(a, a)] = relocate.get(b, b)
-    ed.adj = new_adj
-    return ed.to_diagram()
+    pairs: dict[Dart, Dart] = {}
+    for a, moved in relocate.items():
+        b = adj[a]
+        b = relocate.get(b, b)
+        pairs[moved] = b
+        pairs[b] = moved
+    return pairs
 
 
-def _apply_r1_plus(d: PDDiagram, site: tuple) -> PDDiagram:
-    tail, sign, first_under = site
-    ed = Editor.from_diagram(d)
-    under, over = ed.passes(ed.new_crossing(sign))
-    ed.thread(tail, (under, over) if first_under else (over, under))
-    return ed.to_diagram()
+def apply_move(x: PDDiagram | Editor, move: Move) -> PDDiagram | Editor:
+    """Make ``move`` at its site.
+
+    A diagram is left alone and the result comes back as a new, relabelled
+    diagram; an editor is rewritten in place and returned.
+    """
+    ed = _editor(x)
+    if move.kind in ("R1-", "R2-"):
+        # A reducing site is the crossings it deletes.
+        ed.smooth_out(move.site)
+    elif move.kind == "R3":
+        ed.rewire(_slide(ed.adj, move.site))
+    elif move.kind == "R1+":
+        tail, sign, first_under = move.site
+        under, over = ed.passes(ed.new_crossing(sign))
+        ed.thread(tail, (under, over) if first_under else (over, under))
+    elif move.kind == "R2+":
+        # Push the arc at face dart ``da`` over the arc at ``db``.  Both
+        # darts lie on one face and traverse different edges; the pushed
+        # arc crosses the other twice, staying on top at both crossings.
+        da, db = move.site
+        if db in (da, ed.adj[da]):
+            raise InputError(f"darts {da} and {db} traverse the same edge")
+        fa = ed.is_out_dart(da)
+        fb = ed.is_out_dart(db)
+        ta = da if fa else ed.adj[da]
+        tb = db if fb else ed.adj[db]
+        u1, o1 = ed.passes(ed.new_crossing(+1 if fb else -1))
+        u2, o2 = ed.passes(ed.new_crossing(-1 if fb else +1))
+        ed.thread(ta, (o1, o2))
+        ed.thread(tb, (u2, u1) if fa == fb else (u1, u2))
+    else:
+        raise InputError(f"unknown move kind {move.kind!r}")
+    return ed if ed is x else ed.to_diagram()
 
 
 def push_arc_over(d: PDDiagram, da: Dart, db: Dart) -> PDDiagram:
-    """R2 increase: push the arc at face dart ``da`` over the arc at ``db``.
-
-    Both darts must lie on a common face and traverse different edges; the
-    pushed arc crosses the other twice, staying on top at both crossings.
-    """
-    ed = Editor.from_diagram(d)
-    if db in (da, ed.adj[da]):
-        raise InputError(f"darts {da} and {db} traverse the same edge")
-    fa = ed.is_out_dart(da)
-    fb = ed.is_out_dart(db)
-    ta = da if fa else ed.adj[da]
-    tb = db if fb else ed.adj[db]
-    u1, o1 = ed.passes(ed.new_crossing(+1 if fb else -1))
-    u2, o2 = ed.passes(ed.new_crossing(-1 if fb else +1))
-    ed.thread(ta, (o1, o2))
-    ed.thread(tb, (u2, u1) if fa == fb else (u1, u2))
-    return ed.to_diagram()
-
-
-def apply_move(d: PDDiagram, move: Move) -> PDDiagram:
-    if move.kind in ("R1-", "R2-"):
-        # A reducing site is the crossings it deletes.
-        ed = Editor.from_diagram(d)
-        ed.smooth_out(move.site)
-        return ed.to_diagram()
-    if move.kind == "R3":
-        return _apply_r3(d, move.site)
-    if move.kind == "R1+":
-        return _apply_r1_plus(d, move.site)
-    if move.kind == "R2+":
-        return push_arc_over(d, *move.site)
-    raise InputError(f"unknown move kind {move.kind!r}")
+    """R2 increase: push the arc at face dart ``da`` over the arc at ``db``."""
+    return apply_move(d, Move("R2+", (da, db)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +224,21 @@ def apply_move(d: PDDiagram, move: Move) -> PDDiagram:
 # ---------------------------------------------------------------------------
 
 
-def sample_increasing_move(d: PDDiagram, rng: random.Random) -> Move | None:
+def sample_increasing_move(x: PDDiagram | Editor, rng: random.Random) -> Move | None:
     """A random R1 or R2 increase, or None for a bare-loop diagram."""
-    if d.n == 0:
+    ed = _editor(x)
+    if not ed.signs:
         return None
     if rng.random() < 0.5:
-        faces = [f for f in d.faces if len(f) >= 2]
+        faces = [f for f in ed.faces() if len(f) >= 2]
         if faces:
             face = faces[rng.randrange(len(faces))]
             for _ in range(8):
                 da = face[rng.randrange(len(face))]
                 db = face[rng.randrange(len(face))]
-                if (
-                    da != db
-                    and d.crossings[da[0]].edges[da[1]]
-                    != d.crossings[db[0]].edges[db[1]]
-                ):
+                if db not in (da, ed.adj[da]):
                     return Move("R2+", (da, db))
-    tails = sorted(
-        (ci, s) for ci, c in enumerate(d.crossings) for s in out_slots(c.sign)
-    )
+    tails = sorted((ci, s) for ci, sign in ed.signs.items() for s in out_slots(sign))
     tail = tails[rng.randrange(len(tails))]
     sign = 1 if rng.random() < 0.5 else -1
     return Move("R1+", (tail, sign, rng.random() < 0.5))
@@ -223,30 +247,51 @@ def sample_increasing_move(d: PDDiagram, rng: random.Random) -> Move | None:
 # ---------------------------------------------------------------------------
 # simplification
 # ---------------------------------------------------------------------------
+#
+# Each loop copies its input into one Editor, makes every move through
+# ``apply_move`` and relabels at the end.  A loop that makes no move
+# returns its input as given, with its own edge labels.
 
 
-def _reduce_fully(d: PDDiagram) -> PDDiagram:
-    while True:
-        moves = find_reducing_moves(d)
-        if not moves:
-            return d
-        d = apply_move(d, moves[0])
+def _reduce_fully(ed: Editor) -> bool:
+    """Take the first reducing site until none is left; True if any was."""
+    reduced = False
+    while moves := find_reducing_moves(ed):
+        apply_move(ed, moves[0])
+        reduced = True
+    return reduced
+
+
+def _exposes_reduction(adj: dict[Dart, Dart], crossings: set[int]) -> bool:
+    """Whether a kink or a reducible bigon has a dart at ``crossings``."""
+    return any(_is_kink(adj, (c, s)) for c in crossings for s in range(4)) or any(
+        _is_reducible_bigon(adj, face) for face in face_orbits(crossings, adj)
+    )
 
 
 def simplify_greedy(d: PDDiagram) -> PDDiagram:
     """Monotone simplification: exhaust reducing moves, then try each
-    triangle slide and keep it only if it exposes a new reduction."""
-    d = _reduce_fully(d)
+    triangle slide and keep it only if it exposes a new reduction.
+
+    No reducing site is left when slides are tried, so a slide can expose
+    one only at a dart of its three crossings.  Each slide is therefore
+    tried in place, checked there and undone; only a kept slide is made.
+    """
+    ed = Editor.from_diagram(d)
+    changed = _reduce_fully(ed)
     progress = True
-    while progress and d.n:
+    while progress and ed.signs:
         progress = False
-        for move in find_r3_moves(d):
-            trial = apply_move(d, move)
-            if find_reducing_moves(trial):
-                d = _reduce_fully(trial)
-                progress = True
+        for move in find_r3_moves(ed):
+            undo = ed.rewire(_slide(ed.adj, move.site))
+            exposed = _exposes_reduction(ed.adj, {ci for ci, _ in move.site[0]})
+            ed.rewire(undo)
+            if exposed:
+                apply_move(ed, move)
+                _reduce_fully(ed)
+                progress = changed = True
                 break
-    return d
+    return ed.to_diagram() if changed else d
 
 
 # Moves in a row without a smaller diagram after which a walk has stalled.
@@ -262,37 +307,38 @@ def simplify_global(
     otherwise) but occasionally explores through increasing moves.  The walk
     ends at the unknot, after ``STALL_MOVES`` moves in a row that do not
     improve on the best diagram, or after ``budget`` moves, whichever comes
-    first.  Deterministic in ``seed``.
+    first.  Deterministic in ``seed``.  The walk rewrites one editor and
+    relabels only when it records a new best diagram.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
     rng = random.Random(seed)
-    cur = simplify_greedy(d)
-    best = cur
-    cap = max(cur.n + 8, 14)
+    best = simplify_greedy(d)
+    ed = Editor.from_diagram(best)
+    cap = max(best.n + 8, 14)
     stale = 0
     for _ in range(budget):
         if best.n == 0 or stale == STALL_MOVES:
             break
         move = None
-        reducing = find_reducing_moves(cur)
+        reducing = find_reducing_moves(ed)
         descend = rng.random() < 0.7
         if descend and reducing:
             move = reducing[0]
         else:
-            r3 = find_r3_moves(cur)
-            can_grow = cur.n < cap
+            r3 = find_r3_moves(ed)
+            can_grow = len(ed.signs) < cap
             if r3 and (not can_grow or rng.random() < 0.75):
                 move = r3[rng.randrange(len(r3))]
             elif can_grow:
-                move = sample_increasing_move(cur, rng)
+                move = sample_increasing_move(ed, rng)
             elif reducing:
                 move = reducing[0]
         if move is None:
             break
-        cur = apply_move(cur, move)
-        if cur.n < best.n:
-            best = cur
+        apply_move(ed, move)
+        if len(ed.signs) < best.n:
+            best = ed.to_diagram()
             stale = 0
         else:
             stale += 1
@@ -303,25 +349,27 @@ def backtrack_randomize(d: PDDiagram, steps: int = 30, *, seed: int = 0) -> PDDi
     """Scramble a diagram through a random mix of moves (same knot)."""
     rng = random.Random(seed)
     cap = d.n + 25
-    cur = d
+    ed = Editor.from_diagram(d)
+    moved = False
     for _ in range(steps):
         roll = rng.random()
         move = None
         if roll < 0.45:
-            r3 = find_r3_moves(cur)
+            r3 = find_r3_moves(ed)
             if r3:
                 move = r3[rng.randrange(len(r3))]
-        elif roll < 0.8 and cur.n < cap:
-            move = sample_increasing_move(cur, rng)
+        elif roll < 0.8 and len(ed.signs) < cap:
+            move = sample_increasing_move(ed, rng)
         else:
-            reducing = find_reducing_moves(cur)
+            reducing = find_reducing_moves(ed)
             if reducing:
                 move = reducing[rng.randrange(len(reducing))]
         if move is None:
-            move = sample_increasing_move(cur, rng)
+            move = sample_increasing_move(ed, rng)
         if move is not None:
-            cur = apply_move(cur, move)
-    return cur
+            apply_move(ed, move)
+            moved = True
+    return ed.to_diagram() if moved else d
 
 
 # ---------------------------------------------------------------------------

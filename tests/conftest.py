@@ -5,12 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from gordian.braid import BraidWord, braid_closure, closure_component_count
-from gordian.diagram import Dart, Editor, in_slots, strand_exit
+from gordian.braid import BraidWord, _read_braid, braid_closure, closure_component_count
+from gordian.diagram import (
+    Crossing,
+    Dart,
+    Editor,
+    PDDiagram,
+    in_slots,
+    out_slots,
+    strand_exit,
+)
 from gordian.errors import InternalError
 from gordian.invariants import seifert_matrix
 from gordian.laurent import LaurentPoly
-from gordian.moves import backtrack_randomize
+from gordian.moves import Move, apply_move, backtrack_randomize
 
 
 def random_knot_word(
@@ -385,6 +393,211 @@ def wired_push_arc_over(d, da, db):
         ed.connect((c1, 2), (c2, 0))
         ed.connect((c2, 2), hb)
     return ed.to_diagram()
+
+
+def relabelled(d, rng: random.Random):
+    """``d`` with its edge labels shuffled: the same crossings and wiring,
+    in a label order that is not the traversal order ``to_diagram`` gives."""
+    labels = sorted(d.edge_ends)
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    to = dict(zip(labels, shuffled))
+    crossings = tuple(
+        Crossing(tuple(to[e] for e in c.edges), c.sign) for c in d.crossings
+    )
+    return PDDiagram(crossings, d.free_loops)
+
+
+# ---------------------------------------------------------------------------
+# Reference move loops: each move rebuilds and relabels the whole diagram,
+# and sites are found on the diagram's own faces and edge labels, as before
+# the loops ran on one Editor
+# ---------------------------------------------------------------------------
+
+
+def reference_reducing_moves(d) -> list:
+    moves = []
+    partner = d.dart_partner
+    for face in d.faces:
+        if len(face) != 2:
+            continue
+        (c1, s1), (c2, s2) = face
+        if c1 != c2 and s1 % 2 == partner[(c1, s1)][1] % 2:
+            moves.append(Move("R2-", (c1, c2)))
+    for e in sorted(d.edge_ends):
+        tail, head = d.edge_ends[e]
+        if tail[0] == head[0]:
+            moves.append(Move("R1-", (tail[0],)))
+    return moves
+
+
+def reference_r3_moves(d) -> list:
+    moves = []
+    partner = d.dart_partner
+    for face in d.faces:
+        if len(face) != 3 or len({ci for ci, _ in face}) != 3:
+            continue
+        for p in range(3):
+            ci, s = face[p]
+            if s % 2 == partner[(ci, s)][1] % 2:
+                moves.append(Move("R3", (face, p)))
+    return moves
+
+
+def reference_increasing_move(d, rng: random.Random):
+    if d.n == 0:
+        return None
+    if rng.random() < 0.5:
+        faces = [f for f in d.faces if len(f) >= 2]
+        if faces:
+            face = faces[rng.randrange(len(faces))]
+            edge = d.face_edges(face)
+            for _ in range(8):
+                a = rng.randrange(len(face))
+                b = rng.randrange(len(face))
+                if a != b and edge[a] != edge[b]:
+                    return Move("R2+", (face[a], face[b]))
+    tails = sorted(
+        (ci, s) for ci, c in enumerate(d.crossings) for s in out_slots(c.sign)
+    )
+    tail = tails[rng.randrange(len(tails))]
+    sign = 1 if rng.random() < 0.5 else -1
+    return Move("R1+", (tail, sign, rng.random() < 0.5))
+
+
+def reference_r3(d, site):
+    """Triangle slide by rebuilding the whole partner map."""
+    face, p = site
+    partner = d.dart_partner
+    d1, d2, d3 = face[(p - 1) % 3], face[p], face[(p + 1) % 3]
+    x, y, z = d1[0], d2[0], d3[0]
+    strands = (
+        ((y, d2[1]), (z, partner[d2][1])),
+        ((x, d1[1]), (y, partner[d1][1])),
+        ((z, d3[1]), (x, partner[d3][1])),
+    )
+    relocate = {}
+    for (g, ng), (h, nh) in strands:
+        relocate[(g, ng)] = (g, (ng + 2) % 4)
+        relocate[(h, nh)] = (h, (nh + 2) % 4)
+        relocate[(g, (ng + 2) % 4)] = (h, nh)
+        relocate[(h, (nh + 2) % 4)] = (g, ng)
+    assert len(relocate) == 12
+    ed = Editor.from_diagram(d)
+    ed.adj = {relocate.get(a, a): relocate.get(b, b) for a, b in ed.adj.items()}
+    return ed.to_diagram()
+
+
+def reference_apply(d, move):
+    if move.kind == "R3":
+        return reference_r3(d, move.site)
+    if move.kind == "R1+":
+        return wired_r1_plus(d, move.site)
+    if move.kind == "R2+":
+        return wired_push_arc_over(d, *move.site)
+    return apply_move(d, move)  # R1- and R2-: one smooth_out
+
+
+def reference_reduce_fully(d):
+    while moves := reference_reducing_moves(d):
+        d = reference_apply(d, moves[0])
+    return d
+
+
+def reference_simplify_greedy(d):
+    d = reference_reduce_fully(d)
+    progress = True
+    while progress and d.n:
+        progress = False
+        for move in reference_r3_moves(d):
+            trial = reference_apply(d, move)
+            if reference_reducing_moves(trial):
+                d = reference_reduce_fully(trial)
+                progress = True
+                break
+    return d
+
+
+def reference_simplify_global(d, *, budget: int, seed: int, stall: int = 600):
+    rng = random.Random(seed)
+    cur = reference_simplify_greedy(d)
+    best = cur
+    cap = max(cur.n + 8, 14)
+    stale = 0
+    for _ in range(budget):
+        if best.n == 0 or stale == stall:
+            break
+        move = None
+        reducing = reference_reducing_moves(cur)
+        descend = rng.random() < 0.7
+        if descend and reducing:
+            move = reducing[0]
+        else:
+            r3 = reference_r3_moves(cur)
+            can_grow = cur.n < cap
+            if r3 and (not can_grow or rng.random() < 0.75):
+                move = r3[rng.randrange(len(r3))]
+            elif can_grow:
+                move = reference_increasing_move(cur, rng)
+            elif reducing:
+                move = reducing[0]
+        if move is None:
+            break
+        cur = reference_apply(cur, move)
+        if cur.n < best.n:
+            best = cur
+            stale = 0
+        else:
+            stale += 1
+    return best
+
+
+def reference_backtrack_randomize(d, steps: int, *, seed: int):
+    rng = random.Random(seed)
+    cap = d.n + 25
+    cur = d
+    for _ in range(steps):
+        roll = rng.random()
+        move = None
+        if roll < 0.45:
+            r3 = reference_r3_moves(cur)
+            if r3:
+                move = r3[rng.randrange(len(r3))]
+        elif roll < 0.8 and cur.n < cap:
+            move = reference_increasing_move(cur, rng)
+        else:
+            reducing = reference_reducing_moves(cur)
+            if reducing:
+                move = reducing[rng.randrange(len(reducing))]
+        if move is None:
+            move = reference_increasing_move(cur, rng)
+        if move is not None:
+            cur = reference_apply(cur, move)
+    return cur
+
+
+def reference_incoherent_pair(d):
+    of_edge = {e: i for i, cyc in enumerate(d.seifert_circles()) for e in cyc}
+    for face in d.faces:
+        seen = []
+        for ci, s in face:
+            circ = of_edge[d.crossings[ci].edges[s]]
+            out = s in out_slots(d.crossings[ci].sign)
+            for circ2, out2, dart in seen:
+                if circ2 != circ and out2 == out:
+                    return dart, (ci, s)
+            seen.append((circ, out, (ci, s)))
+    return None
+
+
+def reference_vogel_braid(d) -> BraidWord:
+    """Vogel's pushes on whole diagrams, then the package's braid reader."""
+    assert d.is_knot
+    if d.n == 0:
+        return BraidWord((), 1)
+    while (pair := reference_incoherent_pair(d)) is not None:
+        d = wired_push_arc_over(d, *pair)
+    return _read_braid(d)
 
 
 # ---------------------------------------------------------------------------

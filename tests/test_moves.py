@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from gordian import moves
-from gordian.braid import BraidWord, braid_closure
+from gordian.braid import BraidWord, braid_closure, vogel_braid
 from gordian.diagram import pd_to_text, validate_pd
 from gordian.errors import InputError
 from gordian.invariants import (
@@ -24,6 +24,7 @@ from gordian.moves import (
     crossing_change,
     deconnect_sum,
     find_moves,
+    find_r3_moves,
     find_reducing_moves,
     mirror,
     sample_increasing_move,
@@ -33,6 +34,14 @@ from gordian.moves import (
 from tests.conftest import (
     editing_corpus,
     random_knot_diagram,
+    random_link_diagram,
+    reference_backtrack_randomize,
+    reference_r3_moves,
+    reference_reducing_moves,
+    reference_simplify_global,
+    reference_simplify_greedy,
+    reference_vogel_braid,
+    relabelled,
     two_edge_cut_split,
     wired_push_arc_over,
     wired_r1_plus,
@@ -234,3 +243,42 @@ def test_push_arc_over_refuses_two_darts_on_one_edge():
     for da, db in ((tail, head), (head, tail), (tail, tail)):
         with pytest.raises(InputError, match="same edge"):
             moves.push_arc_over(d, da, db)
+
+
+def test_move_loops_match_the_rebuild_per_move_references(rng):
+    # The loops rewrite one Editor and relabel once; the references rebuild
+    # the whole diagram after every move and find sites on its own faces and
+    # edge labels.  Both must make the same moves: the same PD text and the
+    # same braid letters, on knots and links with free loops, on diagrams
+    # as relabelled by a move and on diagrams whose labels are shuffled.
+    seen = Counter()
+    for i in range(330):
+        if i % 3 == 0:
+            d = random_knot_diagram(rng, max_crossings=10)
+        else:
+            d = random_link_diagram(rng, max_strands=5, max_letters=12)
+        if rng.random() < 0.3:
+            d = relabelled(d, rng)
+        steps, seed = rng.randint(0, 30), rng.randrange(10**6)
+        scramble = backtrack_randomize(d, steps, seed=seed)
+        assert pd_to_text(scramble) == pd_to_text(
+            reference_backtrack_randomize(d, steps, seed=seed)
+        )
+        x = relabelled(scramble, rng) if rng.random() < 0.3 else scramble
+        assert find_reducing_moves(x) == reference_reducing_moves(x)
+        assert find_r3_moves(x) == reference_r3_moves(x)
+        assert pd_to_text(simplify_greedy(x)) == pd_to_text(
+            reference_simplify_greedy(x)
+        )
+        budget, seed = rng.randint(0, 120), rng.randrange(10**6)
+        assert pd_to_text(simplify_global(x, budget=budget, seed=seed)) == pd_to_text(
+            reference_simplify_global(x, budget=budget, seed=seed)
+        )
+        if x.is_knot:
+            word = vogel_braid(x)
+            ref = reference_vogel_braid(x)
+            assert (word.letters, word.strands) == (ref.letters, ref.strands)
+            seen["knot"] += 1
+        seen["loops"] += x.free_loops > 0
+        seen["shrunk"] += simplify_greedy(x).n < x.n
+    assert seen["knot"] >= 100 and seen["loops"] >= 50 and seen["shrunk"] >= 100
