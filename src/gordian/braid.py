@@ -14,6 +14,7 @@ be read off directly.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagram import Dart, Editor, PDDiagram, in_slots, negate_at, out_slots
@@ -129,38 +130,35 @@ def render_braid(word: BraidWord) -> str:
 _VOGEL_LIMIT = 4000  # safeguard; the move count is quadratically bounded
 
 
-def _circle_of(ed: Editor) -> dict[Dart, int]:
-    """The Seifert circle of every dart, circles numbered in no set order."""
-    of: dict[Dart, int] = {}
-    signs, adj = ed.signs, ed.adj
-    for ci, sign in signs.items():
-        for s in out_slots(sign):
-            d = (ci, s)
-            circle = len(of)  # larger than any number given so far
-            while d not in of:
-                head = adj[d]
-                of[d] = of[head] = circle
-                d = (head[0], seifert_exit(signs[head[0]], head[1]))
-    return of
+def _circle(ed: Editor, dart: Dart) -> list[Dart]:
+    """The darts of the Seifert circle through out dart ``dart``."""
+    darts = []
+    d = dart
+    while True:
+        head = ed.adj[d]
+        darts += (d, head)
+        d = (head[0], seifert_exit(ed.signs[head[0]], head[1]))
+        if d == dart:
+            return darts
 
 
-def _incoherent_pair(ed: Editor) -> tuple[Dart, Dart] | None:
-    """First face pair of co-oriented arcs on different Seifert circles.
+def _first_pair(
+    ed: Editor, circle: dict[Dart, int], face: tuple[Dart, ...]
+) -> tuple[Dart, Dart] | None:
+    """The face's first pair of co-oriented arcs on different circles.
 
-    Until a face yields a pair, all the arcs met on it so far in one
+    Until the face yields a pair, all the arcs met on it so far in one
     direction lie on one circle, so each arc is checked against the first
     arc met in its direction only.
     """
-    circle = _circle_of(ed)
-    for face in ed.faces():
-        first: list[Dart | None] = [None, None]  # indexed by is_out_dart
-        for dart in face:
-            out = ed.is_out_dart(dart)
-            prior = first[out]
-            if prior is None:
-                first[out] = dart
-            elif circle[prior] != circle[dart]:
-                return prior, dart
+    first: list[Dart | None] = [None, None]  # indexed by is_out_dart
+    for dart in face:
+        out = ed.is_out_dart(dart)
+        prior = first[out]
+        if prior is None:
+            first[out] = dart
+        elif circle[prior] != circle[dart]:
+            return prior, dart
     return None
 
 
@@ -170,6 +168,16 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
     The number of Seifert circles is preserved, so the result uses exactly
     as many strands as the diagram has circles.  The pushes rewrite one
     editor, which is relabelled once before the braid is read.
+
+    Each push is made in the face of least key that has a pair of
+    co-oriented arcs on different Seifert circles, at that face's first
+    such pair.  The editor keeps the faces; this loop keeps each dart's
+    circle and each face's first pair.  A push changes only the two circles
+    it meets, and all their old darts lie on the circles through its two
+    new crossings, so only those are traced again.  Each keeps the label
+    most of its old darts had, so only darts whose circle changed are
+    relabelled, and only the faces traced again and the faces of relabelled
+    darts are checked again.
     """
     if d.component_count != 1:
         raise InputError("vogel_braid expects a one-component diagram")
@@ -177,11 +185,47 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
         return BraidWord((), 1)
 
     ed = Editor.from_diagram(d)
+    circle: dict[Dart, int] = {}
+    for ci, sign in ed.signs.items():
+        for s in out_slots(sign):
+            if (ci, s) not in circle:
+                label = len(circle)  # larger than any label given so far
+                circle.update(dict.fromkeys(_circle(ed, (ci, s)), label))
+    fresh = len(circle)
+    pair_at: dict[Dart, tuple[Dart, Dart]] = {}  # face key -> first pair
+    for face in ed.faces():
+        if pair := _first_pair(ed, circle, face):
+            pair_at[face[0]] = pair
     for pushes in range(_VOGEL_LIMIT):
-        pair = _incoherent_pair(ed)
-        if pair is None:
+        if not pair_at:
             break
-        apply_move(ed, Move("R2+", pair))
+        apply_move(ed, Move("R2+", pair_at[min(pair_at)]))
+        dropped, traced = ed.retrace_faces()
+        for key in dropped:
+            pair_at.pop(key, None)
+        check = {face[0]: face for face in traced}
+        # The darts of the push's two new crossings lie on traced faces.
+        new = sorted({x for face in traced for x in face} - circle.keys())
+        kept: set[int] = set()
+        for start in filter(ed.is_out_dart, new):
+            if start in circle:
+                continue  # on a circle traced from an earlier start
+            darts = _circle(ed, start)
+            counts = Counter(circle[x] for x in darts if x in circle)
+            label = next((g for g, _ in counts.most_common() if g not in kept), None)
+            if label is None:
+                label, fresh = fresh, fresh + 1
+            kept.add(label)
+            for x in darts:
+                if circle.get(x) != label:
+                    circle[x] = label
+                    face = ed.face_of(x)
+                    check[face[0]] = face
+        for key, face in check.items():
+            if pair := _first_pair(ed, circle, face):
+                pair_at[key] = pair
+            else:
+                pair_at.pop(key, None)
     else:
         raise InternalError("braiding did not terminate")
 

@@ -173,23 +173,26 @@ def face_orbits(
     With every crossing id listed in increasing order, these are all the
     faces, in the order of their least darts, each starting there.
     """
+    return tuple(_orbits(((ci, s) for ci in crossings for s in range(4)), partner))
+
+
+def _orbits(
+    starts: Iterable[Dart], partner: dict[Dart, Dart]
+) -> Iterator[tuple[Dart, ...]]:
+    # The orbit of each start dart that no earlier orbit passed, from it.
     seen: set[Dart] = set()
-    out: list[tuple[Dart, ...]] = []
-    for ci in crossings:
-        for s in range(4):
-            start = (ci, s)
-            if start in seen:
-                continue
-            orbit = [start]
-            cj, t = partner[start]
+    for start in starts:
+        if start in seen:
+            continue
+        orbit = [start]
+        cj, t = partner[start]
+        d = (cj, (t + 1) % 4)
+        while d != start:
+            orbit.append(d)
+            cj, t = partner[d]
             d = (cj, (t + 1) % 4)
-            while d != start:
-                orbit.append(d)
-                cj, t = partner[d]
-                d = (cj, (t + 1) % 4)
-            seen.update(orbit)
-            out.append(tuple(orbit))
-    return tuple(out)
+        seen.update(orbit)
+        yield tuple(orbit)
 
 
 def interlacement(sequence: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -375,7 +378,14 @@ class Editor:
     Every crossing rewrite is built from two primitives: ``smooth_out``
     splices passes out of their strands, and ``thread`` routes an edge
     through new passes.  ``rewire`` overwrites partner entries at once and
-    returns what undoes it.  ``faces`` are kept until the next rewrite.
+    returns what undoes it.
+
+    Faces are kept across rewrites.  Each face is stored under its least
+    dart, its *key*, and starts there.  ``connect``, ``rewire`` and
+    ``smooth_out`` record the darts whose partners they change; the next
+    read of the faces drops only the faces through those darts and traces
+    the orbits of what is left of them.  Every other face is the same
+    orbit as before.
     """
 
     def __init__(self) -> None:
@@ -383,7 +393,13 @@ class Editor:
         self.adj: dict[Dart, Dart] = {}
         self.free_loops = 0
         self._next = 0
-        self._kept: dict[str, object] = {}
+        self._tails: list[Dart] | None = None
+        # The face index, built on the first read: key -> face, dart -> key,
+        # and the keys of the faces of one, two and three darts.
+        self._faces: dict[Dart, tuple[Dart, ...]] | None = None
+        self._key_of: dict[Dart, Dart] = {}
+        self._small: dict[int, set[Dart]] = {1: set(), 2: set(), 3: set()}
+        self._touched: set[Dart] = set()
 
     @classmethod
     def from_diagram(cls, d: PDDiagram) -> "Editor":
@@ -395,28 +411,33 @@ class Editor:
         for ci, c in enumerate(d.crossings):
             ed.signs[ci] = c.sign
         ed.adj = dict(d.dart_partner)
-        ed._kept["tails"] = [tail for _, (tail, _) in sorted(d.edge_ends.items())]
+        ed._tails = [tail for _, (tail, _) in sorted(d.edge_ends.items())]
         return ed
 
     def new_crossing(self, sign: int) -> int:
         cid = self._next
         self._next += 1
         self.signs[cid] = sign
-        self._kept.clear()
+        self._tails = None
         return cid
+
+    def _touch(self, darts: Iterable[Dart]) -> None:
+        self._touched.update(darts)
+        self._tails = None
 
     def connect(self, a: Dart, b: Dart) -> None:
         if a in self.adj or b in self.adj:
             raise InternalError(f"dart already wired: {a} or {b}")
         self.adj[a] = b
         self.adj[b] = a
-        self._kept.clear()
+        self._touch((a, b))
 
     def disconnect(self, a: Dart) -> Dart:
+        # Records nothing: faces are read only with every dart wired, so
+        # connect records each dart this frees when it is wired again.
         b = self.adj.pop(a)
         if b != a:
             del self.adj[b]
-        self._kept.clear()
         return b
 
     def rewire(self, pairs: dict[Dart, Dart]) -> dict[Dart, Dart]:
@@ -427,22 +448,72 @@ class Editor:
         """
         old = {a: self.adj[a] for a in pairs}
         self.adj.update(pairs)
-        self._kept.clear()
+        self._touch(pairs)
         return old
 
     def is_out_dart(self, d: Dart) -> bool:
         return d[1] in out_slots(self.signs[d[0]])
 
+    def retrace_faces(self) -> tuple[list[Dart], list[tuple[Dart, ...]]]:
+        """Bring the face index up to date with the partner map.
+
+        Returns the keys of the faces dropped since the last update and the
+        faces traced in their place (every face, on the first update).  No
+        surviving face passes a touched dart, so the touched darts and the
+        darts of the dropped faces are exactly the darts of the new faces;
+        tracing them in increasing order starts each face at its key.
+        """
+        if self._faces is None:
+            self._faces = {}
+            dropped: list[Dart] = []
+            starts: Iterable[Dart] = (
+                (ci, s) for ci in sorted(self.signs) for s in range(4)
+            )
+        elif self._touched:
+            dropped = []
+            freed = set(self._touched)
+            for d in self._touched:
+                key = self._key_of.get(d)
+                if key is None:
+                    continue  # new, or on a face dropped already
+                face = self._faces.pop(key)
+                if len(face) < 4:
+                    self._small[len(face)].discard(key)
+                for x in face:
+                    del self._key_of[x]
+                freed.update(face)
+                dropped.append(key)
+            starts = sorted(d for d in freed if d in self.adj)
+        else:
+            return [], []
+        self._touched.clear()
+        traced = list(_orbits(starts, self.adj))
+        for face in traced:
+            self._faces[face[0]] = face
+            if len(face) < 4:
+                self._small[len(face)].add(face[0])
+            for x in face:
+                self._key_of[x] = face[0]
+        return dropped, traced
+
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face boundaries, ordered as :attr:`PDDiagram.faces` orders them."""
-        if "faces" not in self._kept:
-            self._kept["faces"] = face_orbits(sorted(self.signs), self.adj)
-        return self._kept["faces"]
+        self.retrace_faces()
+        return tuple(self._faces[key] for key in sorted(self._faces))
+
+    def faces_of_size(self, k: int) -> list[tuple[Dart, ...]]:
+        """The faces of ``k`` darts, for k = 1, 2 or 3, in face order."""
+        self.retrace_faces()
+        return [self._faces[key] for key in sorted(self._small[k])]
+
+    def face_of(self, dart: Dart) -> tuple[Dart, ...]:
+        """The face through ``dart`` as of the last update of the index."""
+        return self._faces[self._key_of[dart]]
 
     def tails(self) -> list[Dart]:
         """Edge tails in label order: the order in which ``to_diagram``
         labels edges, or the copied diagram's until the first rewrite."""
-        return self._kept.get("tails") or list(self._strand_tails())
+        return self._tails or list(self._strand_tails())
 
     def _strand_tails(self) -> Iterator[Dart]:
         # Each strand from the lowest unvisited out slot of the lowest id.
@@ -486,8 +557,8 @@ class Editor:
                 else:
                     self.adj[p] = q
                     self.adj[q] = p
+                self._touch((a, b, p, q))
             del self.signs[c]
-        self._kept.clear()
 
     def to_diagram(self) -> PDDiagram:
         label: dict[Dart, int] = {}

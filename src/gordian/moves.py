@@ -11,12 +11,14 @@ keeps its crossing ids and edge-label order, so both forms give the same
 sites in the same order.  A ``Move`` is bound to the diagram or editor
 state it was found on and is not meaningful for any other.
 
-Site discovery works on faces.  A kink (reducible R1 site) is an edge whose
-two ends meet the same crossing; a reducible R2 site is a two-sided face
-whose strands keep their over/under roles at both crossings; a triangle
-(R3) site is a three-sided face among three distinct crossings where one
-edge is over at both of its ends or under at both.  Increasing moves come
-in parameterized families and are sampled rather than enumerated.
+Site discovery works on faces, which an editor keeps across its rewrites.
+A kink (reducible R1 site) is an edge whose two ends meet the same
+crossing, and so bounds a one-dart face; a reducible R2 site is a
+two-sided face whose strands keep their over/under roles at both
+crossings; a triangle (R3) site is a three-sided face among three
+distinct crossings where one edge is over at both of its ends or under
+at both.  Increasing moves come in parameterized families and are
+sampled rather than enumerated.
 """
 
 from __future__ import annotations
@@ -98,22 +100,21 @@ def _is_reducible_bigon(adj: dict[Dart, Dart], face: tuple[Dart, ...]) -> bool:
 
 
 def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
-    """Reducible R2 sites in face order, then R1 sites in edge-label order."""
+    """Reducible R2 sites in face order, then R1 sites in edge-label order.
+
+    A kink is a one-dart face: in a planar diagram an edge with both ends
+    at one crossing joins adjacent slots, so it bounds a monogon.
+    """
     ed = _editor(x)
     adj = ed.adj
     moves = [
         Move("R2-", (face[0][0], face[1][0]))
-        for face in ed.faces()
+        for face in ed.faces_of_size(2)
         if _is_reducible_bigon(adj, face)
     ]
     # Most diagrams have at most one kink, so kinks are put in label order
     # only when there are several.
-    kinks = [
-        (ci, s)
-        for ci, sign in ed.signs.items()
-        for s in out_slots(sign)
-        if _is_kink(adj, (ci, s))
-    ]
+    kinks = [face[0] for face in ed.faces_of_size(1)]
     if len(kinks) > 1:
         kinks = [tail for tail in ed.tails() if _is_kink(adj, tail)]
     moves.extend(Move("R1-", (ci,)) for ci, _ in kinks)
@@ -124,8 +125,8 @@ def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
     """Triangle slide sites: ``site == (face, p)`` slides edge ``face[p]``."""
     ed = _editor(x)
     moves: list[Move] = []
-    for face in ed.faces():
-        if len(face) != 3 or len({ci for ci, _ in face}) != 3:
+    for face in ed.faces_of_size(3):
+        if len({ci for ci, _ in face}) != 3:
             continue
         for p in range(3):
             if _keeps_level(ed.adj, face[p]):

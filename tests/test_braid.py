@@ -1,5 +1,7 @@
 """Braid words, closures, and the braiding of arbitrary diagrams."""
 
+import random
+
 import pytest
 
 from gordian.braid import (
@@ -16,8 +18,12 @@ from gordian.braid import (
 from gordian.diagram import validate_pd
 from gordian.errors import InputError
 from gordian.invariants import fingerprint
-from gordian.moves import simplify_global
-from tests.conftest import random_knot_diagram, random_knot_word
+from gordian.moves import backtrack_randomize, simplify_global
+from tests.conftest import (
+    random_knot_diagram,
+    random_knot_word,
+    reference_vogel_braid,
+)
 
 
 def test_braid_word_validation():
@@ -90,3 +96,21 @@ def test_vogel_braid_of_braid_closure_round_trips(rng):
         d = braid_closure(word)
         again = braid_closure(vogel_braid(simplify_global(d, budget=500)))
         assert fingerprint(again) == fingerprint(d)
+
+
+def test_vogel_braid_matches_the_reference_on_large_scrambles():
+    # The move-loop cases stay under about 45 crossings.  On scrambles of
+    # 100-170 crossings, where a push meets long circles and large faces,
+    # the kept circles and face pairs must still make the same pushes as
+    # the reference, which rebuilds the whole diagram after each one.
+    rng = random.Random(1990)
+    cases = 0
+    for i in range(4):
+        word = random_knot_word(rng, max_strands=6, max_letters=120, min_letters=100)
+        d = backtrack_randomize(braid_closure(word), 150, seed=i)
+        if not 100 <= d.n <= 170:
+            continue
+        braid, ref = vogel_braid(d), reference_vogel_braid(d)
+        assert (braid.letters, braid.strands) == (ref.letters, ref.strands)
+        cases += 1
+    assert cases >= 3

@@ -1,18 +1,27 @@
 """Planar-diagram structure: validation, text format, editing, components."""
 
+from collections import Counter
+
 import pytest
 
+from gordian import moves
 from gordian.braid import braid_closure, BraidWord
 from gordian.diagram import (
     Crossing,
     Editor,
     PDDiagram,
+    face_orbits,
     pd_from_text,
     pd_to_text,
     validate_pd,
 )
 from gordian.errors import InputError, InternalError
-from gordian.moves import apply_move, find_reducing_moves
+from gordian.moves import (
+    apply_move,
+    find_r3_moves,
+    find_reducing_moves,
+    sample_increasing_move,
+)
 from tests.conftest import editing_corpus, random_knot_diagram, walk_smooth_out
 
 
@@ -123,6 +132,63 @@ def test_smooth_out_matches_the_boundary_walk(rng):
             looped += ed.free_loops > d.free_loops
     assert sets >= 3000
     assert looped >= 300  # removals that close strands into free loops
+
+
+def assert_faces_match_a_rescan(ed: Editor) -> None:
+    faces = face_orbits(sorted(ed.signs), ed.adj)
+    assert ed.faces() == faces
+    for k in (1, 2, 3):
+        assert ed.faces_of_size(k) == [f for f in faces if len(f) == k]
+    assert all(ed.face_of(dart) == face for face in faces for dart in face)
+
+
+def test_face_index_matches_a_rescan_after_every_rewrite(rng):
+    # The editor keeps its faces across rewrites and traces again only the
+    # faces through the darts a rewrite touched.  After every kind of
+    # rewrite the index must equal a whole-diagram rescan: moves through
+    # apply_move, a triangle slide tried in place and undone (as greedy
+    # does), smooth_out of arbitrary crossing sets (as deconnect_sum does)
+    # and thread through the passes of new crossings in any order.
+    kinds = Counter()
+    for d in editing_corpus(rng, 150):
+        for _ in range(3):
+            ed = Editor.from_diagram(d)
+            assert_faces_match_a_rescan(ed)
+            ed.smooth_out(rng.sample(range(d.n), rng.randint(0, d.n)))
+            assert_faces_match_a_rescan(ed)
+            kinds["smooth_out"] += 1
+        ed = Editor.from_diagram(d)
+        for _ in range(12):
+            assert_faces_match_a_rescan(ed)
+            roll = rng.random()
+            r3 = find_r3_moves(ed)
+            reducing = find_reducing_moves(ed)
+            if roll < 0.2 and r3:
+                move = r3[rng.randrange(len(r3))]
+                undo = ed.rewire(moves._slide(ed.adj, move.site))
+                assert_faces_match_a_rescan(ed)
+                ed.rewire(undo)
+                kinds["R3 undone"] += 1
+                continue
+            if roll < 0.4 and r3:
+                move = r3[rng.randrange(len(r3))]
+            elif roll < 0.7 and reducing:
+                move = reducing[rng.randrange(len(reducing))]
+            else:
+                move = sample_increasing_move(ed, rng)
+            if move is not None:
+                apply_move(ed, move)
+                kinds[move.kind] += 1
+        assert_faces_match_a_rescan(ed)
+        if ed.signs:
+            tails = sorted(dart for dart in ed.adj if ed.is_out_dart(dart))
+            new = [ed.new_crossing(rng.choice((1, -1))) for _ in range(rng.randint(1, 3))]
+            passes = [p for c in new for p in ed.passes(c)]
+            rng.shuffle(passes)
+            ed.thread(rng.choice(tails), passes)
+            assert_faces_match_a_rescan(ed)
+            kinds["thread"] += 1
+    assert min(kinds.values()) >= 100 and len(kinds) == 8, kinds
 
 
 def test_passes_follow_the_slot_conventions():

@@ -8,7 +8,10 @@ convert --to pd`` of every bundled name and of every DT code in the
 bundled certificates, before and after its crossing changes.
 ``data/search_seed7.txt`` is the log of ``gordian search`` on the README
 base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
-move kind and braid through Vogel's pushes.
+move kind and braid through Vogel's pushes.  ``data/search_seed13.txt`` is
+the same search at seed 13, whose trial 0 has a greedy diagram with a
+bracket frontier wider than 12, so its fingerprint walks: it pins the
+walk's path.
 """
 
 import contextlib
@@ -84,4 +87,11 @@ def test_search_log_is_unchanged(capsys):
     argv = ["search", "--base", README_BASE, "--seed", "7", "--trials", "10"]
     assert main([*argv, "--k", "2"]) == 0
     expected = (DATA / "search_seed7.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_walked_search_log_is_unchanged(capsys):
+    argv = ["search", "--base", README_BASE, "--seed", "13", "--trials", "10"]
+    assert main([*argv, "--k", "2"]) == 0
+    expected = (DATA / "search_seed13.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
