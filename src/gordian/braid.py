@@ -167,7 +167,8 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
 
     The number of Seifert circles is preserved, so the result uses exactly
     as many strands as the diagram has circles.  The pushes rewrite one
-    editor, which is relabelled once before the braid is read.
+    editor, and the braid is read off that editor and the circles this
+    loop keeps, with no relabelling.
 
     Each push is made in the face of least key that has a pair of
     co-oriented arcs on different Seifert circles, at that face's first
@@ -196,7 +197,7 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
     for face in ed.faces():
         if pair := _first_pair(ed, circle, face):
             pair_at[face[0]] = pair
-    for pushes in range(_VOGEL_LIMIT):
+    for _ in range(_VOGEL_LIMIT):
         if not pair_at:
             break
         apply_move(ed, Move("R2+", pair_at[min(pair_at)]))
@@ -229,35 +230,31 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
     else:
         raise InternalError("braiding did not terminate")
 
-    return _read_braid(ed.to_diagram() if pushes else d)
+    return _read_braid(ed, circle)
 
 
-def _read_braid(d: PDDiagram) -> BraidWord:
-    """Read a braid word off a coherent (nested-circle) diagram."""
-    circles = d.seifert_circles()
-    of_edge = {e: i for i, cyc in enumerate(circles) for e in cyc}
-    k = len(circles)
-
+def _read_braid(ed: Editor, circle: dict[Dart, int]) -> BraidWord:
+    """Read a braid word off a coherent (nested-circle) editor whose darts
+    lie on the Seifert circles given by ``circle``."""
     # Each crossing joins two circles; the multigraph must be a path.
     joins: dict[int, tuple[int, int]] = {}
-    nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
-    for ci, c in enumerate(d.crossings):
-        g1 = of_edge[c.edges[0]]
-        g2 = of_edge[c.edges[in_slots(c.sign)[1]]]
+    nbrs: dict[int, set[int]] = {g: set() for g in set(circle.values())}
+    for ci, sign in ed.signs.items():
+        g1 = circle[(ci, 0)]
+        g2 = circle[(ci, in_slots(sign)[1])]
         if g1 == g2:
             raise InternalError("crossing joins a Seifert circle to itself")
         joins[ci] = (g1, g2)
         nbrs[g1].add(g2)
         nbrs[g2].add(g1)
-    ends = [i for i in range(k) if len(nbrs[i]) == 1]
-    if k > 1 and (len(ends) != 2 or any(len(v) > 2 for v in nbrs.values())):
+    k = len(nbrs)  # at least 2: a crossing joins two circles
+    ends = {g for g, v in nbrs.items() if len(v) == 1}
+    if len(ends) != 2 or any(len(v) > 2 for v in nbrs.values()):
         raise InternalError("Seifert circles do not form a chain")
-    if k == 1:
-        raise InternalError("coherent diagram with crossings on one circle")
 
     # Order the circles along the chain, starting from the end that owns
-    # the smallest edge label (a deterministic choice).
-    first = min(ends, key=lambda i: min(circles[i]))
+    # the first edge tail in label order (a deterministic choice).
+    first = next(circle[tail] for tail in ed.tails() if circle[tail] in ends)
     order = [first]
     prev = -1
     while len(order) < k:
@@ -270,59 +267,44 @@ def _read_braid(d: PDDiagram) -> BraidWord:
 
     # Pick a cut arc on each circle by walking dual to the nesting: start in
     # a face bounded only by the first circle and cross one circle at a time.
-    cut: dict[int, int] = {}
-    face = None
-    for f in d.faces:
-        if {of_edge[e] for e in d.face_edges(f)} == {order[0]}:
-            face = f
-            break
+    face = next((f for f in ed.faces() if {circle[x] for x in f} == {first}), None)
     if face is None:
         raise InternalError("no face inside the innermost circle")
-    dart_face = {dart: f for f in d.faces for dart in f}
+    cuts: list[Dart] = []  # the tail of each circle's cut arc
     for g in order:
-        chosen = None
-        for dart in face:
-            ci, s = dart
-            if of_edge[d.crossings[ci].edges[s]] == g:
-                chosen = dart
-                break
+        chosen = next((x for x in face if circle[x] == g), None)
         if chosen is None:
             raise InternalError("cut walk lost the next circle")
-        edge = d.crossings[chosen[0]].edges[chosen[1]]
-        cut[g] = edge
-        face = dart_face[d.dart_partner[chosen]]
+        cuts.append(chosen if ed.is_out_dart(chosen) else ed.adj[chosen])
+        face = ed.face_of(ed.adj[chosen])
 
     # Linearise each circle's crossing sequence starting after its cut arc,
-    # then merge the chains into a word, lowest strand first on ties.
+    # then merge the chains into a word, lowest strand first on ties, then
+    # lowest crossing id (ids keep their order when an editor is relabelled).
     succ: dict[int, list[int]] = {ci: [] for ci in joins}
     indeg = {ci: 0 for ci in joins}
-    heads: list[tuple[int, int]] = []
-    for g, cyc in enumerate(circles):
-        start_pos = cyc.index(cut[g])
-        seq = []
-        for j in range(len(cyc)):
-            e = cyc[(start_pos + j) % len(cyc)]
-            seq.append(d.edge_ends[e][1][0])
+    for tail in cuts:
+        seq = [ci for ci, _ in _circle(ed, tail)[1::2]]
         for a, b in zip(seq, seq[1:]):
             succ[a].append(b)
             indeg[b] += 1
-    for ci in joins:
-        if indeg[ci] == 0:
-            g1, g2 = joins[ci]
-            heapq.heappush(heads, (min(strand[g1], strand[g2]), ci))
+
+    def key(ci: int) -> tuple[int, int]:
+        return min(strand[g] for g in joins[ci]), ci
+
+    heads = [key(ci) for ci in joins if indeg[ci] == 0]
+    heapq.heapify(heads)
     letters: list[int] = []
     while heads:
-        _, ci = heapq.heappop(heads)
+        gen, ci = heapq.heappop(heads)
         g1, g2 = joins[ci]
-        gen = min(strand[g1], strand[g2])
         if abs(strand[g1] - strand[g2]) != 1:
             raise InternalError("crossing joins non-adjacent strands")
-        letters.append(gen * d.crossings[ci].sign)
+        letters.append(gen * ed.signs[ci])
         for b in succ[ci]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                h1, h2 = joins[b]
-                heapq.heappush(heads, (min(strand[h1], strand[h2]), b))
-    if len(letters) != d.n:
+                heapq.heappush(heads, key(b))
+    if len(letters) != len(joins):
         raise InternalError("braid reading dropped crossings")
     return BraidWord(tuple(letters), k)

@@ -16,9 +16,9 @@ bracket is ``-A^3``).  The mirror image of a diagram negates every sign.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
 
@@ -114,9 +114,10 @@ class PDDiagram:
             out[head] = tail
         return out
 
-    def _edge_cycles(self, exit_slot) -> tuple[tuple[int, ...], ...]:
-        """Edge cycles that leave each crossing at ``exit_slot(sign, slot)``
-        of the slot they entered, starting from the lowest unseen edge."""
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Closed strands that pass through crossings, as edge sequences,
+        each from the lowest edge label it passes."""
         ends = self.edge_ends
         seen: set[int] = set()
         cycles: list[tuple[int, ...]] = []
@@ -130,14 +131,9 @@ class PDDiagram:
                 cyc.append(e)
                 ci, s = ends[e][1]
                 c = self.crossings[ci]
-                e = c.edges[exit_slot(c.sign, s)]
+                e = c.edges[strand_exit(c.sign, s)]
             cycles.append(tuple(cyc))
         return tuple(cycles)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Closed strands that pass through crossings, as edge sequences."""
-        return self._edge_cycles(strand_exit)
 
     @property
     def component_count(self) -> int:
@@ -151,14 +147,6 @@ class PDDiagram:
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face boundaries as dart orbits of ``rotate(partner(dart))``."""
         return face_orbits(range(self.n), self.dart_partner)
-
-    def face_edges(self, face: tuple[Dart, ...]) -> tuple[int, ...]:
-        """Edges traversed by a face boundary, one per dart of the orbit."""
-        return tuple(self.crossings[ci].edges[s] for ci, s in face)
-
-    def seifert_circles(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the orientation-preserving smoothing, as edge cycles."""
-        return self._edge_cycles(seifert_exit)
 
     def __repr__(self) -> str:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
@@ -512,7 +500,11 @@ class Editor:
 
     def tails(self) -> list[Dart]:
         """Edge tails in label order: the order in which ``to_diagram``
-        labels edges, or the copied diagram's until the first rewrite."""
+        labels edges, or the copied diagram's until the first rewrite.
+
+        Two readers depend on this order: the order of several kinks in
+        ``find_reducing_moves``, and the end of the chain of Seifert circles
+        that Vogel's braid reader starts from."""
         return self._tails or list(self._strand_tails())
 
     def _strand_tails(self) -> Iterator[Dart]:

@@ -7,8 +7,8 @@ held in a canonical sorted tuple.  No floats anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 class LaurentPoly:

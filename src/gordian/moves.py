@@ -3,9 +3,10 @@
 Public calls on a ``PDDiagram`` are pure: each returns a new diagram with
 its edges relabelled canonically (see :meth:`~gordian.diagram.Editor.to_diagram`),
 so equal rewrite histories give equal diagrams.  The move loops (reduction,
-greedy and walked simplification, the scramble, and Vogel braiding in
-:mod:`gordian.braid`) instead copy their input into one ``Editor``,
-rewrite it in place and relabel once at the end.  Site finding and
+greedy and walked simplification, and the scramble) instead copy their
+input into one ``Editor``, rewrite it in place and relabel once at the
+end; Vogel braiding in :mod:`gordian.braid` rewrites one editor too and
+reads its braid off that editor, never relabelling it.  Site finding and
 ``apply_move`` take either form; a diagram is copied into an editor that
 keeps its crossing ids and edge-label order, so both forms give the same
 sites in the same order.  A ``Move`` is bound to the diagram or editor

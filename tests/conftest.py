@@ -1,11 +1,12 @@
 """Shared generators and oracles for the test suite."""
 
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from gordian.braid import BraidWord, _read_braid, braid_closure, closure_component_count
+from gordian.braid import BraidWord, braid_closure, closure_component_count
 from gordian.diagram import (
     Crossing,
     Dart,
@@ -13,6 +14,7 @@ from gordian.diagram import (
     PDDiagram,
     in_slots,
     out_slots,
+    seifert_exit,
     strand_exit,
 )
 from gordian.errors import InternalError
@@ -451,7 +453,7 @@ def reference_increasing_move(d, rng: random.Random):
         faces = [f for f in d.faces if len(f) >= 2]
         if faces:
             face = faces[rng.randrange(len(faces))]
-            edge = d.face_edges(face)
+            edge = [d.crossings[ci].edges[s] for ci, s in face]
             for _ in range(8):
                 a = rng.randrange(len(face))
                 b = rng.randrange(len(face))
@@ -576,8 +578,29 @@ def reference_backtrack_randomize(d, steps: int, *, seed: int):
     return cur
 
 
+def seifert_circles(d) -> list[tuple[int, ...]]:
+    """Seifert circles as edge cycles, each from the lowest edge label it
+    passes, in the order of those labels."""
+    ends = d.edge_ends
+    seen: set[int] = set()
+    circles = []
+    for start in sorted(ends):
+        if start in seen:
+            continue
+        cyc = []
+        e = start
+        while e not in seen:
+            seen.add(e)
+            cyc.append(e)
+            ci, s = ends[e][1]
+            c = d.crossings[ci]
+            e = c.edges[seifert_exit(c.sign, s)]
+        circles.append(tuple(cyc))
+    return circles
+
+
 def reference_incoherent_pair(d):
-    of_edge = {e: i for i, cyc in enumerate(d.seifert_circles()) for e in cyc}
+    of_edge = {e: i for i, cyc in enumerate(seifert_circles(d)) for e in cyc}
     for face in d.faces:
         seen = []
         for ci, s in face:
@@ -591,13 +614,112 @@ def reference_incoherent_pair(d):
 
 
 def reference_vogel_braid(d) -> BraidWord:
-    """Vogel's pushes on whole diagrams, then the package's braid reader."""
+    """Vogel's pushes on whole diagrams, then the braid read off the
+    relabelled diagram's edge labels."""
     assert d.is_knot
     if d.n == 0:
         return BraidWord((), 1)
     while (pair := reference_incoherent_pair(d)) is not None:
         d = wired_push_arc_over(d, *pair)
-    return _read_braid(d)
+    return reference_read_braid(d)
+
+
+def reference_read_braid(d) -> BraidWord:
+    """Read a braid word off a coherent (nested-circle) diagram by its own
+    edge labels and faces: the reference for ``braid._read_braid``, which
+    reads by the same rules off the editor and circles of ``vogel_braid``."""
+    circles = seifert_circles(d)
+    of_edge = {e: i for i, cyc in enumerate(circles) for e in cyc}
+    k = len(circles)
+
+    # Each crossing joins two circles; the multigraph must be a path.
+    joins: dict[int, tuple[int, int]] = {}
+    nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
+    for ci, c in enumerate(d.crossings):
+        g1 = of_edge[c.edges[0]]
+        g2 = of_edge[c.edges[in_slots(c.sign)[1]]]
+        if g1 == g2:
+            raise InternalError("crossing joins a Seifert circle to itself")
+        joins[ci] = (g1, g2)
+        nbrs[g1].add(g2)
+        nbrs[g2].add(g1)
+    ends = [i for i in range(k) if len(nbrs[i]) == 1]
+    if k > 1 and (len(ends) != 2 or any(len(v) > 2 for v in nbrs.values())):
+        raise InternalError("Seifert circles do not form a chain")
+    if k == 1:
+        raise InternalError("coherent diagram with crossings on one circle")
+
+    # Order the circles along the chain, starting from the end that owns
+    # the smallest edge label (a deterministic choice).
+    first = min(ends, key=lambda i: min(circles[i]))
+    order = [first]
+    prev = -1
+    while len(order) < k:
+        step = [g for g in nbrs[order[-1]] if g != prev]
+        if len(step) != 1:
+            raise InternalError("Seifert circles do not form a chain")
+        prev = order[-1]
+        order.append(step[0])
+    strand = {g: i + 1 for i, g in enumerate(order)}  # circle -> strand index
+
+    # Pick a cut arc on each circle by walking dual to the nesting: start in
+    # a face bounded only by the first circle and cross one circle at a time.
+    cut: dict[int, int] = {}
+    face = None
+    for f in d.faces:
+        if {of_edge[d.crossings[ci].edges[s]] for ci, s in f} == {order[0]}:
+            face = f
+            break
+    if face is None:
+        raise InternalError("no face inside the innermost circle")
+    dart_face = {dart: f for f in d.faces for dart in f}
+    for g in order:
+        chosen = None
+        for dart in face:
+            ci, s = dart
+            if of_edge[d.crossings[ci].edges[s]] == g:
+                chosen = dart
+                break
+        if chosen is None:
+            raise InternalError("cut walk lost the next circle")
+        edge = d.crossings[chosen[0]].edges[chosen[1]]
+        cut[g] = edge
+        face = dart_face[d.dart_partner[chosen]]
+
+    # Linearise each circle's crossing sequence starting after its cut arc,
+    # then merge the chains into a word, lowest strand first on ties.
+    succ: dict[int, list[int]] = {ci: [] for ci in joins}
+    indeg = {ci: 0 for ci in joins}
+    heads: list[tuple[int, int]] = []
+    for g, cyc in enumerate(circles):
+        start_pos = cyc.index(cut[g])
+        seq = []
+        for j in range(len(cyc)):
+            e = cyc[(start_pos + j) % len(cyc)]
+            seq.append(d.edge_ends[e][1][0])
+        for a, b in zip(seq, seq[1:]):
+            succ[a].append(b)
+            indeg[b] += 1
+    for ci in joins:
+        if indeg[ci] == 0:
+            g1, g2 = joins[ci]
+            heapq.heappush(heads, (min(strand[g1], strand[g2]), ci))
+    letters: list[int] = []
+    while heads:
+        _, ci = heapq.heappop(heads)
+        g1, g2 = joins[ci]
+        gen = min(strand[g1], strand[g2])
+        if abs(strand[g1] - strand[g2]) != 1:
+            raise InternalError("crossing joins non-adjacent strands")
+        letters.append(gen * d.crossings[ci].sign)
+        for b in succ[ci]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                h1, h2 = joins[b]
+                heapq.heappush(heads, (min(strand[h1], strand[h2]), b))
+    if len(letters) != d.n:
+        raise InternalError("braid reading dropped crossings")
+    return BraidWord(tuple(letters), k)
 
 
 # ---------------------------------------------------------------------------

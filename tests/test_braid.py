@@ -22,7 +22,9 @@ from gordian.moves import backtrack_randomize, simplify_global
 from tests.conftest import (
     random_knot_diagram,
     random_knot_word,
+    reference_incoherent_pair,
     reference_vogel_braid,
+    relabelled,
 )
 
 
@@ -114,3 +116,19 @@ def test_vogel_braid_matches_the_reference_on_large_scrambles():
         assert (braid.letters, braid.strands) == (ref.letters, ref.strands)
         cases += 1
     assert cases >= 3
+
+
+def test_vogel_braid_matches_the_reference_on_shuffled_closures(rng):
+    # A closure is coherent already, so no push is made and the braid is
+    # read with the input's own labels: the chain of circles starts at the
+    # end circle that owns the smallest of them.  Shuffling the labels
+    # moves that end, which numbers the strands from the other end.
+    reversed_ = 0
+    for _ in range(150):
+        d = braid_closure(random_knot_word(rng, max_strands=5, max_letters=14))
+        x = relabelled(d, rng)
+        assert reference_incoherent_pair(x) is None
+        braid, ref = vogel_braid(x), reference_vogel_braid(x)
+        assert (braid.letters, braid.strands) == (ref.letters, ref.strands)
+        reversed_ += braid != vogel_braid(d)
+    assert reversed_ >= 30

@@ -6,6 +6,9 @@ out decides which one prints ``(mirror)``, so the whole transcript is
 pinned, not only its last line.  ``data/convert_pd.txt`` holds ``gordian
 convert --to pd`` of every bundled name and of every DT code in the
 bundled certificates, before and after its crossing changes.
+``data/convert_braid.txt`` holds ``gordian convert --to braid`` of every
+bundled name, of ``7_1#~7_1`` and of the README base braid, whose closure
+is already coherent, so Vogel's reader sees it with no push made.
 ``data/search_seed7.txt`` is the log of ``gordian search`` on the README
 base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
 move kind and braid through Vogel's pushes.  ``data/search_seed13.txt`` is
@@ -41,10 +44,16 @@ def _convert_commands() -> list[list[str]]:
     return [["convert", *args, "--to", "pd"] for args in dict.fromkeys(commands)]
 
 
-def convert_transcript(capsys) -> str:
+def _convert_braid_commands() -> list[list[str]]:
+    names = [*dict.fromkeys(name for name, _ in BUNDLED_CODES), "7_1#~7_1"]
+    inputs = [("--name", name) for name in names] + [("--braid", README_BASE)]
+    return [["convert", *args, "--to", "braid"] for args in inputs]
+
+
+def convert_transcript(capsys, commands: list[list[str]]) -> str:
     """Each command line as ``$ gordian ...`` followed by its output."""
     out = []
-    for argv in _convert_commands():
+    for argv in commands:
         assert main(argv) == 0
         out.append("$ gordian " + " ".join(argv) + "\n" + capsys.readouterr().out)
     return "".join(out)
@@ -80,7 +89,12 @@ def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
 
 def test_convert_to_pd_is_unchanged(capsys):
     expected = (DATA / "convert_pd.txt").read_text(encoding="utf-8")
-    assert convert_transcript(capsys) == expected
+    assert convert_transcript(capsys, _convert_commands()) == expected
+
+
+def test_convert_to_braid_is_unchanged(capsys):
+    expected = (DATA / "convert_braid.txt").read_text(encoding="utf-8")
+    assert convert_transcript(capsys, _convert_braid_commands()) == expected
 
 
 def test_search_log_is_unchanged(capsys):
