@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .codes import DTCode, parse_dt, realize_dt, render_dt
 from .diagram import PDDiagram
-from .errors import InputError
+from .errors import InputError, UnrealizableError
 from .invariants import Fingerprint, fingerprint
 
 # The reference codes shipped with the package: the unknot, the torus knot
@@ -189,8 +189,14 @@ def load_table(path: str) -> list[KnotTableEntry]:
         rows.append((lineno, fields))
     table: list[KnotTableEntry] = []
     for lineno, (name, dt_text, fp_text, fpm_text) in rows:
-        code = parse_dt(dt_text)
-        fp = fingerprint(realize_dt(code))
+        try:
+            code = parse_dt(dt_text)
+            d = realize_dt(code)
+        except (InputError, UnrealizableError) as exc:
+            raise InputError(
+                f"table integrity: line {lineno} ({name}): {exc}"
+            ) from None
+        fp = fingerprint(d)
         fpm = fp.mirrored()
         if fp.render() != fp_text or fpm.render() != fpm_text:
             raise InputError(

@@ -36,7 +36,9 @@ MAX_FRONTIER_STATES = 2**16
 # Slot pairings of the two smoothings, as partner tables.  The A-smoothing
 # joins the corners swept by rotating the over-strand counterclockwise onto
 # the under-strand; with slot 0 pinned to the incoming under-end this is
-# (1,2),(3,0) for both signs, and the B-smoothing is (0,1),(2,3).
+# (1,2),(3,0) for both signs, and the B-smoothing is (0,1),(2,3).  A
+# crossing added to the bracket's frontier at positions f..f+3 pairs
+# f + s with f + partner[s] before its edges are glued.
 _SMOOTHINGS = (((3, 2, 1, 0), 1), ((1, 0, 3, 2), -1))  # (partner, A exponent)
 
 
@@ -87,6 +89,14 @@ def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
     into its two smoothings, each loop that closes multiplies by
     ``delta = -A**2 - A**-2``, and equal matchings merge.  The cost is
     governed by the number of matchings, not by ``2**n``.
+
+    Each crossing is added by one gluing rule.  Its four slots join the
+    frontier at positions ``f..f+3``, paired as the smoothing pairs them.
+    Then every edge with both ends on the frontier is glued: an old end
+    with a slot, or the two slots of a kink.  Gluing two ends that are
+    paired with each other closes a loop; otherwise their two partners
+    become paired.  The survivors keep their order, old positions first,
+    then the unglued slots.
     """
     delta = LaurentPoly({2: -1, -2: -1})
     if d.n == 0:
@@ -98,74 +108,39 @@ def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
     frontier: list[Dart] = []  # dangling edge ends of the region, by position
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     for c in _contraction_order(d)[0]:
+        f = len(frontier)
         at = {dart: i for i, dart in enumerate(frontier)}
-        # Where each slot's edge leads: an old frontier position, another
-        # slot of this crossing (a kink), or a new frontier end.
-        link = [0] * 4
-        is_fresh = [False] * 4
-        slot_at = [-1] * len(frontier)  # old position -> slot it ends at
-        fresh: list[Dart] = []
+        # The crossing's slots join the frontier at f..f+3.  Glue each edge
+        # that then has both ends on it: an old end with a slot, or a kink.
+        glue = []
         for s in range(4):
             p = partner[(c, s)]
             if p in at:
-                link[s] = at[p]
-                slot_at[at[p]] = s
-            elif p[0] == c:
-                link[s] = -1 - p[1]
-            else:
-                is_fresh[s] = True
-                fresh.append((c, s))
-        kept = [i for i in range(len(frontier)) if slot_at[i] < 0]
-        renumber = [-1] * len(frontier)
-        for k, i in enumerate(kept):
+                glue.append((at[p], f + s))
+            elif p[0] == c and p[1] > s:
+                glue.append((f + s, f + p[1]))
+        glued = {i for pair in glue for i in pair}
+        live = [i for i in range(f + 4) if i not in glued]
+        renumber = [-1] * (f + 4)
+        for k, i in enumerate(live):
             renumber[i] = k
-        for k, (_, s) in enumerate(fresh):
-            link[s] = len(kept) + k
-        frontier = [frontier[i] for i in kept] + fresh
-        pad = [-1] * (len(frontier) - len(kept))
+        frontier = [frontier[i] if i < f else (c, i - f) for i in live]
+        opened = [
+            (tuple(f + t for t in smooth), a_exp) for smooth, a_exp in _SMOOTHINGS
+        ]
         merged: dict[tuple[int, ...], dict[int, int]] = {}
         for m, poly in states.items():
-            # outer[s]: where the strand leaving slot s outward ends, as a
-            # new frontier index (>= 0) or as slot t (-1 - t).
-            outer = [0] * 4
-            for s in range(4):
-                ln = link[s]
-                if ln < 0 or is_fresh[s]:
-                    outer[s] = ln
-                else:
-                    q = m[ln]
-                    outer[s] = renumber[q] if slot_at[q] < 0 else -1 - slot_at[q]
-            base = [renumber[m[i]] for i in kept] + pad
-            for smooth, a_exp in _SMOOTHINGS:
-                nm = base[:]
-                seen = [False] * 4
-                for s in range(4):
-                    if seen[s] or outer[s] < 0:
-                        continue
-                    seen[s] = True
-                    t = smooth[s]
-                    while True:
-                        seen[t] = True
-                        o = outer[t]
-                        if o >= 0:
-                            break
-                        t = -1 - o
-                        seen[t] = True
-                        t = smooth[t]
-                    nm[outer[s]] = o
-                    nm[o] = outer[s]
+            for ends, a_exp in opened:
+                nm = [*m, *ends]
                 loops = 0
-                for s in range(4):
-                    if seen[s]:
-                        continue
-                    loops += 1
-                    t = s
-                    while not seen[t]:
-                        seen[t] = True
-                        u = smooth[t]
-                        seen[u] = True
-                        t = -1 - outer[u]
-                key = tuple(nm)
+                for a, b in glue:
+                    x, y = nm[a], nm[b]
+                    if x == b:
+                        loops += 1
+                    else:
+                        nm[x] = y
+                        nm[y] = x
+                key = tuple([renumber[nm[i]] for i in live])
                 acc = merged.get(key)
                 if acc is None:
                     acc = merged[key] = {}
@@ -307,22 +282,21 @@ def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
     n = k - 1
     m = [[cols[j][i] - one if i == j else cols[j][i] for j in range(n)]
          for i in range(n)]
-    sign, denom = 1, one
+    # No row swaps: each Bareiss pivot is a leading principal minor of
+    # psi - I, and at t = 1 psi is the permutation matrix of one k-cycle,
+    # so every leading q x q block of psi - I holds no cycle and has
+    # determinant (-1)**q.  No pivot is zero.
+    denom = one
     for p in range(n - 1):
-        if m[p][p].is_zero():
-            swap = next((r for r in range(p + 1, n) if m[r][p]), None)
-            if swap is None:
-                sign = 0  # a zero column: the determinant vanishes
-                break
-            m[p], m[swap] = m[swap], m[p]
-            sign = -sign
         pivot = m[p][p]
+        if pivot.is_zero():
+            raise InternalError("Alexander pivot vanished on a knot braid")
         for i in range(p + 1, n):
             for j in range(p + 1, n):
                 m[i][j] = m[i][j] * pivot - m[i][p] * m[p][j]
                 m[i][j] = m[i][j].exact_div(denom)
         denom = pivot
-    raw = m[-1][-1] * sign if m else one
+    raw = m[-1][-1] if m else one
     if raw.is_zero():
         raise InternalError("Alexander determinant vanished on a knot")
     span = raw.max_exp() - raw.min_exp()

@@ -18,7 +18,7 @@ from gordian.diagram import (
     strand_exit,
 )
 from gordian.errors import InternalError
-from gordian.invariants import seifert_matrix
+from gordian.invariants import _SMOOTHINGS, _contraction_order, seifert_matrix
 from gordian.laurent import LaurentPoly
 from gordian.moves import Move, apply_move, backtrack_randomize
 
@@ -770,6 +770,108 @@ def state_sum_bracket(d) -> LaurentPoly:
             loops - 1 + d.free_loops
         )
     return total
+
+
+def reference_contraction_bracket(d) -> tuple[LaurentPoly, int]:
+    """The planar contraction bracket with the per-crossing step that
+    sorted each slot three ways (old frontier end, kink, fresh end) and
+    followed paths through the smoothing by hand; the package now glues
+    edges by one rule instead.  Returns the bracket and the most frontier
+    states held after any crossing, where the package's
+    ``MAX_FRONTIER_STATES`` check reads the same count.  Takes diagrams
+    with at least one crossing.
+    """
+    assert d.n >= 1
+    delta = LaurentPoly({2: -1, -2: -1})
+    delta_pow = [((0, 1),), delta.terms, (delta * delta).terms]
+    partner = d.dart_partner
+    frontier: list[Dart] = []  # dangling edge ends of the region, by position
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    peak = 0
+    for c in _contraction_order(d)[0]:
+        at = {dart: i for i, dart in enumerate(frontier)}
+        # Where each slot's edge leads: an old frontier position, another
+        # slot of this crossing (a kink), or a new frontier end.
+        link = [0] * 4
+        is_fresh = [False] * 4
+        slot_at = [-1] * len(frontier)  # old position -> slot it ends at
+        fresh: list[Dart] = []
+        for s in range(4):
+            p = partner[(c, s)]
+            if p in at:
+                link[s] = at[p]
+                slot_at[at[p]] = s
+            elif p[0] == c:
+                link[s] = -1 - p[1]
+            else:
+                is_fresh[s] = True
+                fresh.append((c, s))
+        kept = [i for i in range(len(frontier)) if slot_at[i] < 0]
+        renumber = [-1] * len(frontier)
+        for k, i in enumerate(kept):
+            renumber[i] = k
+        for k, (_, s) in enumerate(fresh):
+            link[s] = len(kept) + k
+        frontier = [frontier[i] for i in kept] + fresh
+        pad = [-1] * (len(frontier) - len(kept))
+        merged: dict[tuple[int, ...], dict[int, int]] = {}
+        for m, poly in states.items():
+            # outer[s]: where the strand leaving slot s outward ends, as a
+            # new frontier index (>= 0) or as slot t (-1 - t).
+            outer = [0] * 4
+            for s in range(4):
+                ln = link[s]
+                if ln < 0 or is_fresh[s]:
+                    outer[s] = ln
+                else:
+                    q = m[ln]
+                    outer[s] = renumber[q] if slot_at[q] < 0 else -1 - slot_at[q]
+            base = [renumber[m[i]] for i in kept] + pad
+            for smooth, a_exp in _SMOOTHINGS:
+                nm = base[:]
+                seen = [False] * 4
+                for s in range(4):
+                    if seen[s] or outer[s] < 0:
+                        continue
+                    seen[s] = True
+                    t = smooth[s]
+                    while True:
+                        seen[t] = True
+                        o = outer[t]
+                        if o >= 0:
+                            break
+                        t = -1 - o
+                        seen[t] = True
+                        t = smooth[t]
+                    nm[outer[s]] = o
+                    nm[o] = outer[s]
+                loops = 0
+                for s in range(4):
+                    if seen[s]:
+                        continue
+                    loops += 1
+                    t = s
+                    while not seen[t]:
+                        seen[t] = True
+                        u = smooth[t]
+                        seen[u] = True
+                        t = -1 - outer[u]
+                key = tuple(nm)
+                acc = merged.get(key)
+                if acc is None:
+                    acc = merged[key] = {}
+                for de, dc in delta_pow[loops]:
+                    shift = a_exp + de
+                    for e, coeff in poly.items():
+                        e += shift
+                        acc[e] = acc.get(e, 0) + coeff * dc
+        peak = max(peak, len(merged))
+        states = merged
+    assert not frontier and len(states) == 1
+    total = LaurentPoly(states[()])
+    if d.free_loops:
+        return total * delta ** (d.free_loops - 1), peak
+    return total.exact_div(delta), peak
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,29 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "dt, reason",
+    [
+        ("DT:[x]", "DT code must be a bracketed list of integers, got 'DT:[x]'"),
+        (
+            "DT:[4, 6, 8, 10, 2, 12]",
+            "DT code [4, 6, 8, 10, 2, 12] has no planar realization",
+        ),
+    ],
+    ids=["unparsable", "unrealizable"],
+)
+def test_table_dt_errors_name_their_line(capsys, tmp_path, dt, reason):
+    path = tmp_path / "table.tsv"
+    save_table(default_table(), str(path))
+    lines = path.read_text().splitlines()
+    name, _, *fingerprints = lines[1].split("\t")
+    lines[1] = "\t".join([name, dt, *fingerprints])
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "identify", "--name", "7_1", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: table integrity: line 2 ({name}): {reason}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["search", "--base", "7_1", "--config", "{tmp}/letters.cfg"],
@@ -321,6 +344,19 @@ def test_search_config_file(capsys, tmp_path):
         "--config", str(cfg), "--trials", "1",
     )
     assert out.strip().splitlines()[-1] == "hits: 1 of 1 trials"
+
+
+def test_search_targets_from_flag_and_config(capsys, tmp_path):
+    argv = ["search", "--base", "7_1", "--seed", "1", "--trials", "2", "--k", "0"]
+    _, out, _ = run(capsys, *argv, "--targets", "7_1")
+    assert out.splitlines()[-1] == "hits: 2 of 2 trials"
+    _, out, _ = run(capsys, *argv, "--targets", "K12n412")
+    assert out.splitlines()[-1] == "hits: 0 of 2 trials"
+    # Empty entries of the comma-separated list are skipped.
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("targets=,7_1,\n")
+    _, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert out.splitlines()[-1] == "hits: 2 of 2 trials"
 
 
 def test_search_config_file_rejects_unknown_keys(capsys, tmp_path):

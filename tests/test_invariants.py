@@ -8,7 +8,9 @@ also pins the Seifert matrix that the package's signature reads.
 Determinants likewise cross two routes: Burau/Alexander on one side and
 the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
 computed by planar contraction, is checked against the 2**n state sum
-(``state_sum_bracket`` in conftest).
+(``state_sum_bracket`` in conftest) and, beyond that sum's reach, against
+the path-following contraction it replaced
+(``reference_contraction_bracket``), peak frontier states included.
 """
 import os
 import random
@@ -24,7 +26,7 @@ from gordian.braid import BraidWord, braid_closure
 from gordian.certify import BASE_BRAID
 from gordian.codes import parse_dt, realize_dt
 from gordian.diagram import PDDiagram
-from gordian.errors import InputError
+from gordian.errors import InputError, ResourceError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
     FINGERPRINT_BUDGET,
@@ -58,6 +60,7 @@ from tests.conftest import (
     int_det,
     random_knot_diagram,
     random_knot_word,
+    reference_contraction_bracket,
     seifert_alexander,
     state_sum_bracket,
 )
@@ -90,6 +93,23 @@ def test_alexander_agrees_with_seifert_oracle(rng):
     for _ in range(40):
         word = random_knot_word(rng, max_strands=8, max_letters=30)
         assert alexander(word) == seifert_alexander(word), word.letters
+
+
+def test_burau_pivots_are_units_at_one(rng):
+    # alexander() never swaps rows: its Bareiss pivots are the leading
+    # principal minors of psi - I, and at t = 1 psi is the permutation
+    # matrix of the closure's one cycle, whose leading q x q minors of
+    # psi - I are (-1)**q, so no pivot can vanish.
+    for _ in range(300):
+        word = random_knot_word(rng, max_strands=8, max_letters=30)
+        k = word.strands
+        cols = [[int(i == j) for i in range(k)] for j in range(k)]
+        for letter in word.letters:
+            i = abs(letter) - 1
+            cols[i], cols[i + 1] = cols[i + 1], cols[i]
+        m = [[cols[j][i] - (i == j) for j in range(k)] for i in range(k)]
+        for q in range(1, k):
+            assert int_det([row[:q] for row in m[:q]]) == (-1) ** q, word.letters
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +260,26 @@ def test_bracket_of_split_and_looped_diagrams():
     assert kauffman_bracket(looped) == kauffman_bracket(trefoil) * delta
     split = braid_closure(BraidWord.from_letters((1, 1, 1, -3, -3, -3), 4))
     assert kauffman_bracket(split) == state_sum_bracket(split)
+
+
+def test_bracket_matches_the_reference_and_its_peak_states(monkeypatch):
+    # Above the state-sum oracle's reach, the gluing rule must give the
+    # bracket of the path-following reference and hold exactly as many
+    # frontier states, so a search trial skips where it always did.
+    rng = random.Random(15)
+    diagrams = []
+    while len(diagrams) < 10:
+        g = simplify_greedy(braid_closure(random_knot_word(rng, 10, 90, 60)))
+        if 20 <= g.n <= 40:
+            diagrams.append(g)
+    assert max(_contraction_order(g)[1] for g in diagrams) >= 14
+    for g in diagrams:
+        expected, peak = reference_contraction_bracket(g)
+        monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", peak)
+        assert kauffman_bracket(g) == expected, g.crossings
+        monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", peak - 1)
+        with pytest.raises(ResourceError):
+            kauffman_bracket(g)
 
 
 @pytest.mark.parametrize("n", [7, 23, 25])
