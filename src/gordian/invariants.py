@@ -267,18 +267,15 @@ def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
     word = _as_braid(x)
     k = word.strands
     zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    one_minus_t = LaurentPoly({0: 1, 1: -1})
-    one_minus_tinv = LaurentPoly({0: 1, -1: -1})
     cols = [[one if i == j else zero for i in range(k)] for j in range(k)]
     for letter in word.letters:
         i = abs(letter) - 1
         a, b = cols[i], cols[i + 1]
-        if letter > 0:
-            cols[i] = [p * one_minus_t + q for p, q in zip(a, b)]
-            cols[i + 1] = [p.shift(1) for p in a]
-        else:
-            cols[i] = [q.shift(-1) for q in b]
-            cols[i + 1] = [p + q * one_minus_tinv for p, q in zip(a, b)]
+        # sigma_i turns columns (a, b) into (a + b - t*a, t*a), and its
+        # inverse turns them into (b/t, a + b - b/t).
+        moved = [p.shift(1) for p in a] if letter > 0 else [q.shift(-1) for q in b]
+        mixed = [p + q - r for p, q, r in zip(a, b, moved)]
+        cols[i], cols[i + 1] = (mixed, moved) if letter > 0 else (moved, mixed)
     n = k - 1
     m = [[cols[j][i] - one if i == j else cols[j][i] for j in range(n)]
          for i in range(n)]

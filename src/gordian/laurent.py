@@ -1,47 +1,49 @@
 """Exact Laurent polynomials over the integers.
 
 Everything downstream (bracket, Jones, Alexander) is assembled from these,
-so the arithmetic is deliberately plain: a dict of ``exponent -> coefficient``
-held in a canonical sorted tuple.  No floats anywhere.
+so the arithmetic is deliberately plain: a polynomial is its lowest
+exponent and the dense tuple of its integer coefficients from there up,
+and every operation works on those lists.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import add, neg, sub
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial with int coefficients.
 
-    The variable is anonymous; ``render()`` picks a display name.  Terms are
-    stored sorted by exponent with zero coefficients dropped, so structural
-    equality coincides with mathematical equality.
+    The variable is anonymous; ``render()`` picks a display name.  The
+    value is ``sum(c * t**(lo + i) for i, c in enumerate(coeffs))``, with
+    ``coeffs`` trimmed of zeros at both ends and the zero polynomial stored
+    as ``lo == 0, coeffs == ()``, so structural equality coincides with
+    mathematical equality.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("lo", "coeffs")
 
     def __init__(self, terms: Iterable[tuple[int, int]] | Mapping[int, int] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
         acc: dict[int, int] = {}
-        for exp, coeff in items:
+        for exp, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            if not (isinstance(exp, int) and isinstance(coeff, int)):
+                raise TypeError(f"term {exp!r}: {coeff!r} does not map int to int")
             acc[exp] = acc.get(exp, 0) + coeff
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-        )
-
-    # -- constructors ------------------------------------------------------
+        lo = min(acc, default=0)
+        dense = [0] * (max(acc, default=lo - 1) - lo + 1)
+        for exp, coeff in acc.items():
+            dense[exp - lo] = coeff
+        self.lo, self.coeffs = _trimmed(lo, dense)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _dense(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls([(0, 1)])
+        return _dense(0, (1,))
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
@@ -52,65 +54,78 @@ class LaurentPoly:
         """The monomial ``coeff * t**exp``."""
         return cls([(exp, coeff)])
 
-    # -- basic queries -----------------------------------------------------
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The ``(exponent, coefficient)`` pairs with nonzero coefficient."""
+        return tuple((e, c) for e, c in enumerate(self.coeffs, self.lo) if c)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
-        return self.terms[0][0]
+        return self.lo
 
     def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
+        return self.min_exp() + len(self.coeffs) - 1
 
     def coeff(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
+        i = exp - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
         if isinstance(other, int):
-            return self.terms == LaurentPoly.const(other).terms
+            other = LaurentPoly.const(other)
+        if isinstance(other, LaurentPoly):
+            return self.lo == other.lo and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.lo, self.coeffs))
 
-    # -- arithmetic --------------------------------------------------------
+    def _combine(self, other: "LaurentPoly | int", op) -> "LaurentPoly":
+        """``op`` applied coefficientwise over the union of both spans."""
+        other = _coerce(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        lo = min(self.lo, other.lo)
+        out = [0] * (max(self.lo + len(a), other.lo + len(b)) - lo)
+        i, j = self.lo - lo, other.lo - lo
+        out[i:i + len(a)] = a
+        out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+        return _dense(*_trimmed(lo, out))
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        return LaurentPoly(list(self.terms) + list(other.terms))
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([(e, -c) for e, c in self.terms])
+        return _dense(self.lo, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-_coerce(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return _coerce(other) + (-self)
+        return _coerce(other)._combine(self, sub)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        if not a:
+            return _dense(0, ())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        # The end coefficients are products of nonzero ones: nothing to trim.
+        return _dense(self.lo + other.lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -118,30 +133,31 @@ class LaurentPoly:
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined")
         out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``t**k``."""
-        return LaurentPoly([(e + k, c) for e, c in self.terms])
+        return _dense(self.lo + k, self.coeffs) if self.coeffs else self
 
     def reverse(self) -> "LaurentPoly":
         """Substitute ``t -> t**-1``."""
-        return LaurentPoly([(-e, c) for e, c in self.terms])
+        if not self.coeffs:
+            return self
+        return _dense(1 - self.lo - len(self.coeffs), self.coeffs[::-1])
 
     def __call__(self, x) -> Fraction:
-        """Evaluate exactly at a nonzero rational point."""
+        """Evaluate exactly at a rational point, by Horner's rule."""
         x = Fraction(x)
-        if x == 0 and self.terms and self.terms[0][0] < 0:
+        if x == 0 and self.coeffs and self.lo < 0:
             raise ZeroDivisionError("negative exponent at 0")
-        return sum((c * x**e for e, c in self.terms), Fraction(0))
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc * x**self.lo
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
+    def exact_div(self, other: "LaurentPoly | int") -> "LaurentPoly":
         """Divide by ``other``, requiring a remainder-free integer quotient.
 
         Long division from the top term, in integers: each quotient
@@ -150,55 +166,61 @@ class LaurentPoly:
         soon as one does not divide exactly, or if a remainder is left.
         """
         other = _coerce(other)
-        if other.is_zero():
+        den = other.coeffs
+        if not den:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        lo, dlo = self.min_exp(), other.min_exp()
-        num = [0] * (self.max_exp() - lo + 1)
-        for e, c in self.terms:
-            num[e - lo] = c
-        den = [(e - dlo, c) for e, c in other.terms]
-        top, lead = den[-1]
-        quot: dict[int, int] = {}
+        num = list(self.coeffs)
+        top, lead = len(den) - 1, den[-1]
+        quot = [0] * max(len(num) - top, 0)
         for i in range(len(num) - 1, top - 1, -1):
             if not num[i]:
                 continue
             q, r = divmod(num[i], lead)
             if r:
                 raise ValueError("quotient is not an integer polynomial")
-            for e, c in den:
-                num[i - top + e] -= q * c
-            quot[i - top + lo - dlo] = q
+            for j, c in enumerate(den, i - top):
+                num[j] -= q * c
+            quot[i - top] = q
         if any(num):
             raise ValueError("polynomial division left a remainder")
-        return LaurentPoly(quot)
-
-    # -- rendering ---------------------------------------------------------
+        # quot * den is self, so the quotient's end coefficients are nonzero
+        # unless self is zero.
+        return _dense(self.lo - other.lo, tuple(quot)) if quot else self
 
     def render(self, var: str = "t") -> str:
         """Human-readable form, terms in ascending exponent order.
 
         Examples: ``0``, ``1``, ``-t^-3 + t^-2 + t^2 - t^3``, ``3*t^2``.
         """
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for i, (e, c) in enumerate(self.terms):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = var if e == 1 else f"{var}^{e}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        out = ""
+        for e, c in self.terms:
+            mag, power = abs(c), var if e == 1 else f"{var}^{e}"
+            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            body = power if mag == 1 else f"{mag}*{power}"
+            out += sign + (str(mag) if e == 0 else body)
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"
+
+
+def _dense(lo: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+    """The polynomial with these fields, which are already trimmed."""
+    p = object.__new__(LaurentPoly)
+    p.lo, p.coeffs = lo, coeffs
+    return p
+
+
+def _trimmed(lo: int, dense: list[int]) -> tuple[int, tuple[int, ...]]:
+    """``(lo, coeffs)`` of the list read from exponent ``lo`` up."""
+    start, stop = 0, len(dense)
+    while start < stop and not dense[start]:
+        start += 1
+    if start == stop:
+        return 0, ()
+    while not dense[stop - 1]:
+        stop -= 1
+    return lo + start, tuple(dense[start:stop])
 
 
 def _coerce(x: "LaurentPoly | int") -> LaurentPoly:

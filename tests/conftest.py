@@ -944,6 +944,100 @@ def seifert_alexander(word: BraidWord) -> LaurentPoly:
     return centered
 
 
+# ---------------------------------------------------------------------------
+# Reference Laurent arithmetic (a sparse sorted-terms form)
+# ---------------------------------------------------------------------------
+
+
+class ReferenceLaurent:
+    """Laurent polynomial as the sorted tuple of its nonzero
+    ``(exponent, coefficient)`` terms, each operation summing terms in a
+    dict.  This was the package's own form before it became dense; the
+    property tests check ``LaurentPoly`` against it."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        items = terms.items() if isinstance(terms, dict) else terms
+        acc: dict[int, int] = {}
+        for exp, coeff in items:
+            acc[exp] = acc.get(exp, 0) + coeff
+        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+
+    def __eq__(self, other):
+        return isinstance(other, ReferenceLaurent) and self.terms == other.terms
+
+    def __add__(self, other):
+        return ReferenceLaurent(list(self.terms) + list(other.terms))
+
+    def __neg__(self):
+        return ReferenceLaurent([(e, -c) for e, c in self.terms])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        acc: dict[int, int] = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        return ReferenceLaurent(acc)
+
+    def shift(self, k):
+        return ReferenceLaurent([(e + k, c) for e, c in self.terms])
+
+    def reverse(self):
+        return ReferenceLaurent([(-e, c) for e, c in self.terms])
+
+    def __call__(self, x):
+        x = Fraction(x)
+        return sum((c * x**e for e, c in self.terms), Fraction(0))
+
+    def exact_div(self, other):
+        """Long division from the top term, in integers; ``ValueError``
+        unless the quotient is an integer polynomial with no remainder."""
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not self.terms:
+            return ReferenceLaurent()
+        lo, dlo = self.terms[0][0], other.terms[0][0]
+        num = [0] * (self.terms[-1][0] - lo + 1)
+        for e, c in self.terms:
+            num[e - lo] = c
+        den = [(e - dlo, c) for e, c in other.terms]
+        top, lead = den[-1]
+        quot: dict[int, int] = {}
+        for i in range(len(num) - 1, top - 1, -1):
+            if not num[i]:
+                continue
+            q, r = divmod(num[i], lead)
+            if r:
+                raise ValueError("quotient is not an integer polynomial")
+            for e, c in den:
+                num[i - top + e] -= q * c
+            quot[i - top + lo - dlo] = q
+        if any(num):
+            raise ValueError("polynomial division left a remainder")
+        return ReferenceLaurent(quot)
+
+    def render(self, var="t"):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (e, c) in enumerate(self.terms):
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                power = var if e == 1 else f"{var}^{e}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            if i == 0:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260814)

@@ -14,7 +14,9 @@ base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
 move kind and braid through Vogel's pushes.  ``data/search_seed13.txt`` is
 the same search at seed 13, whose trial 0 has a greedy diagram with a
 bracket frontier wider than 12, so its fingerprint walks: it pins the
-walk's path.
+walk's path.  ``data/invariants.txt`` holds ``gordian invariants`` of every
+bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
+``identify`` example: it pins how each polynomial renders.
 """
 
 import contextlib
@@ -50,7 +52,13 @@ def _convert_braid_commands() -> list[list[str]]:
     return [["convert", *args, "--to", "braid"] for args in inputs]
 
 
-def convert_transcript(capsys, commands: list[list[str]]) -> str:
+def _invariants_commands() -> list[list[str]]:
+    names = [*dict.fromkeys(name for name, _ in BUNDLED_CODES), "~7_1", "7_1#~7_1"]
+    commands = [["invariants", "--name", name] for name in names]
+    return commands + [["identify", "--braid", "BRAID:[-1,-1,-1,-1,-1,-1,-1]"]]
+
+
+def transcript(capsys, commands: list[list[str]]) -> str:
     """Each command line as ``$ gordian ...`` followed by its output."""
     out = []
     for argv in commands:
@@ -89,12 +97,17 @@ def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
 
 def test_convert_to_pd_is_unchanged(capsys):
     expected = (DATA / "convert_pd.txt").read_text(encoding="utf-8")
-    assert convert_transcript(capsys, _convert_commands()) == expected
+    assert transcript(capsys, _convert_commands()) == expected
 
 
 def test_convert_to_braid_is_unchanged(capsys):
     expected = (DATA / "convert_braid.txt").read_text(encoding="utf-8")
-    assert convert_transcript(capsys, _convert_braid_commands()) == expected
+    assert transcript(capsys, _convert_braid_commands()) == expected
+
+
+def test_invariants_and_identify_are_unchanged(capsys):
+    expected = (DATA / "invariants.txt").read_text(encoding="utf-8")
+    assert transcript(capsys, _invariants_commands()) == expected
 
 
 def test_search_log_is_unchanged(capsys):
