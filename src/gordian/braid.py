@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .diagram import Dart, Editor, PDDiagram, in_slots, negate_at, out_slots
-from .diagram import parse_int_list, seifert_exit
+from .diagram import parse_int_list
 from .errors import InputError, InternalError
 from .moves import Move, apply_move
 
@@ -96,12 +96,13 @@ def braid_closure(word: BraidWord) -> PDDiagram:
     for x in word.letters:
         i = abs(x)
         c = ed.new_crossing(1 if x > 0 else -1)
+        d = 4 * c
         if x > 0:
-            ins = {i: (c, 1), i + 1: (c, 0)}
-            outs = {i: (c, 2), i + 1: (c, 3)}
+            ins = {i: d + 1, i + 1: d}
+            outs = {i: d + 2, i + 1: d + 3}
         else:
-            ins = {i: (c, 0), i + 1: (c, 3)}
-            outs = {i: (c, 1), i + 1: (c, 2)}
+            ins = {i: d, i + 1: d + 3}
+            outs = {i: d + 1, i + 1: d + 2}
         for h in (i, i + 1):
             if h in pending:
                 ed.connect(pending[h], ins[h])
@@ -132,12 +133,14 @@ _VOGEL_LIMIT = 4000  # safeguard; the move count is quadratically bounded
 
 def _circle(ed: Editor, dart: Dart) -> list[Dart]:
     """The darts of the Seifert circle through out dart ``dart``."""
+    # The Seifert smoothing turns slots 0, 1 to 3, 2 at +1 and 0, 3 to 1, 2 at -1.
+    adj, signs = ed.adj, ed.signs
     darts = []
     d = dart
     while True:
-        head = ed.adj[d]
+        head = adj[d]
         darts += (d, head)
-        d = (head[0], seifert_exit(ed.signs[head[0]], head[1]))
+        d = head ^ (3 if signs[head >> 2] > 0 else 1)
         if d == dart:
             return darts
 
@@ -189,9 +192,9 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
     circle: dict[Dart, int] = {}
     for ci, sign in ed.signs.items():
         for s in out_slots(sign):
-            if (ci, s) not in circle:
+            if 4 * ci + s not in circle:
                 label = len(circle)  # larger than any label given so far
-                circle.update(dict.fromkeys(_circle(ed, (ci, s)), label))
+                circle.update(dict.fromkeys(_circle(ed, 4 * ci + s), label))
     fresh = len(circle)
     pair_at: dict[Dart, tuple[Dart, Dart]] = {}  # face key -> first pair
     for face in ed.faces():
@@ -240,8 +243,8 @@ def _read_braid(ed: Editor, circle: dict[Dart, int]) -> BraidWord:
     joins: dict[int, tuple[int, int]] = {}
     nbrs: dict[int, set[int]] = {g: set() for g in set(circle.values())}
     for ci, sign in ed.signs.items():
-        g1 = circle[(ci, 0)]
-        g2 = circle[(ci, in_slots(sign)[1])]
+        g1 = circle[4 * ci]
+        g2 = circle[4 * ci + in_slots(sign)[1]]
         if g1 == g2:
             raise InternalError("crossing joins a Seifert circle to itself")
         joins[ci] = (g1, g2)
@@ -284,7 +287,7 @@ def _read_braid(ed: Editor, circle: dict[Dart, int]) -> BraidWord:
     succ: dict[int, list[int]] = {ci: [] for ci in joins}
     indeg = {ci: 0 for ci in joins}
     for tail in cuts:
-        seq = [ci for ci, _ in _circle(ed, tail)[1::2]]
+        seq = [head >> 2 for head in _circle(ed, tail)[1::2]]
         for a, b in zip(seq, seq[1:]):
             succ[a].append(b)
             indeg[b] += 1

@@ -128,7 +128,7 @@ def realize_dt(code: DTCode) -> PDDiagram:
         return t - 1 if t > 1 else two_n
 
     ed = Editor()
-    ends: dict[tuple[int, bool], tuple[int, int]] = {}  # (arc, leaving?) -> dart
+    ends: dict[tuple[int, bool], int] = {}  # (arc, leaving?) -> dart
     for i, entry in enumerate(entries):
         a, b = 2 * i + 1, abs(entry)
         # Port layout: 0 odd-in, 1 even-in, 2 odd-out, 3 even-out.
@@ -139,7 +139,7 @@ def realize_dt(code: DTCode) -> PDDiagram:
         cid = ed.new_crossing(1 if (entry > 0) != bits[i] else -1)
         for slot in range(4):
             port = (under_in + slot * step) % 4
-            ends[arc_at_port[port], port >= 2] = (cid, slot)
+            ends[arc_at_port[port], port >= 2] = 4 * cid + slot
     for arc in range(1, two_n + 1):
         ed.connect(ends[arc, True], ends[arc, False])
     return ed.to_diagram()
@@ -160,8 +160,8 @@ def pd_to_dt(d: PDDiagram) -> DTCode:
     two_n = 2 * n
     arrivals = []  # (crossing, under?) per passage, in walk order
     for e in walk:
-        c, slot = d.edge_ends[e][1]
-        arrivals.append((c, slot == 0))
+        head = d.edge_ends[e][1]
+        arrivals.append((head >> 2, head & 3 == 0))
     _, pieces = interlacement([c for c, _ in arrivals])
     if sum(len(piece) >= 3 for piece in pieces) >= 2:
         raise InputError(

@@ -8,6 +8,14 @@ slot numbering fixes all orientation conventions used by the package:
 * at a ``sign == +1`` crossing the over-strand enters at slot 1 and leaves
   at slot 3; at ``sign == -1`` it enters at slot 3 and leaves at slot 1.
 
+A dart is the integer ``4 * crossing + slot``: its crossing is ``d >> 2``,
+the next slot counterclockwise ``d + 1`` (``d - 3`` at slot 3), the slot a
+strand through ``d`` uses on the far side ``d ^ 2``, and over slots are
+odd.  Darts sort as ``(crossing, slot)`` pairs would.  The mutable
+``Editor`` keeps two face indexes across rewrites: the faces of one to
+three darts, where every reducing and triangle site lies, and every face,
+built only when a caller reads them all.
+
 Signs follow the braid-generator convention used throughout: the closure of
 the one-letter braid ``[+1]`` is a single ``+1`` crossing (a kink whose
 bracket is ``-A^3``).  The mirror image of a diagram negates every sign.
@@ -22,8 +30,8 @@ from functools import cached_property
 
 from .errors import InputError, InternalError
 
-# A dart is an edge end: (crossing index, slot).
-Dart = tuple[int, int]
+# A dart is an edge end: 4 * crossing + slot.
+Dart = int
 
 
 def in_slots(sign: int) -> tuple[int, int]:
@@ -34,28 +42,6 @@ def in_slots(sign: int) -> tuple[int, int]:
 def out_slots(sign: int) -> tuple[int, int]:
     """Slots where strands leave a crossing of the given sign."""
     return (2, 3) if sign > 0 else (2, 1)
-
-
-def strand_exit(sign: int, slot: int) -> int:
-    """Continue a strand through a crossing: entry slot -> exit slot."""
-    if slot == 0:
-        return 2
-    if sign > 0 and slot == 1:
-        return 3
-    if sign < 0 and slot == 3:
-        return 1
-    raise InternalError(f"slot {slot} is not an entry slot at sign {sign:+d}")
-
-
-def seifert_exit(sign: int, slot: int) -> int:
-    """Continue through the orientation-preserving smoothing of a crossing."""
-    if sign > 0:
-        pairing = {0: 3, 1: 2}
-    else:
-        pairing = {0: 1, 3: 2}
-    if slot not in pairing:
-        raise InternalError(f"slot {slot} is not an entry slot at sign {sign:+d}")
-    return pairing[slot]
 
 
 @dataclass(frozen=True)
@@ -95,12 +81,12 @@ class PDDiagram:
                 e = c.edges[s]
                 if e in tails:
                     raise InputError(f"edge {e} leaves two crossings")
-                tails[e] = (ci, s)
+                tails[e] = 4 * ci + s
             for s in in_slots(c.sign):
                 e = c.edges[s]
                 if e in heads:
                     raise InputError(f"edge {e} enters two crossings")
-                heads[e] = (ci, s)
+                heads[e] = 4 * ci + s
         if set(tails) != set(heads):
             raise InputError("edge set is not orientation-consistent")
         return {e: (tails[e], heads[e]) for e in tails}
@@ -129,9 +115,8 @@ class PDDiagram:
             while e not in seen:
                 seen.add(e)
                 cyc.append(e)
-                ci, s = ends[e][1]
-                c = self.crossings[ci]
-                e = c.edges[strand_exit(c.sign, s)]
+                head = ends[e][1]
+                e = self.crossings[head >> 2].edges[(head ^ 2) & 3]
             cycles.append(tuple(cyc))
         return tuple(cycles)
 
@@ -146,22 +131,10 @@ class PDDiagram:
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face boundaries as dart orbits of ``rotate(partner(dart))``."""
-        return face_orbits(range(self.n), self.dart_partner)
+        return tuple(_orbits(range(4 * self.n), self.dart_partner))
 
     def __repr__(self) -> str:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
-
-
-def face_orbits(
-    crossings: Iterable[int], partner: dict[Dart, Dart]
-) -> tuple[tuple[Dart, ...], ...]:
-    """Boundaries of the faces that meet ``crossings``, as dart orbits of
-    ``rotate(partner(dart))``.
-
-    With every crossing id listed in increasing order, these are all the
-    faces, in the order of their least darts, each starting there.
-    """
-    return tuple(_orbits(((ci, s) for ci in crossings for s in range(4)), partner))
 
 
 def _orbits(
@@ -173,14 +146,31 @@ def _orbits(
         if start in seen:
             continue
         orbit = [start]
-        cj, t = partner[start]
-        d = (cj, (t + 1) % 4)
+        d = partner[start]
+        d = d + 1 if d & 3 != 3 else d - 3
         while d != start:
             orbit.append(d)
-            cj, t = partner[d]
-            d = (cj, (t + 1) % 4)
+            d = partner[d]
+            d = d + 1 if d & 3 != 3 else d - 3
         seen.update(orbit)
         yield tuple(orbit)
+
+
+def small_face(partner: dict[Dart, Dart], d: Dart) -> tuple[Dart, ...] | None:
+    """The face through ``d`` if it has at most three darts, starting at its
+    least dart; otherwise None.  At most three steps of the orbit."""
+    x = partner[d]
+    x = x + 1 if x & 3 != 3 else x - 3
+    if x == d:
+        return (d,)
+    y = partner[x]
+    y = y + 1 if y & 3 != 3 else y - 3
+    if y == d:
+        return (d, x) if d < x else (x, d)
+    z = partner[y]
+    if (z + 1 if z & 3 != 3 else z - 3) != d:
+        return None
+    return min((d, x, y), (x, y, d), (y, d, x))
 
 
 def interlacement(sequence: list[int]) -> tuple[list[int], list[list[int]]]:
@@ -262,12 +252,12 @@ def validate_pd(d: PDDiagram) -> list[str]:
                 continue
             comp_of[cur] = label
             for s in range(4):
-                nb = partner[(cur, s)][0]
+                nb = partner[4 * cur + s] >> 2
                 if nb not in comp_of:
                     stack.append(nb)
     face_count: dict[int, int] = {}
     for face in d.faces:
-        labels = {comp_of[ci] for ci, _ in face}
+        labels = {comp_of[x >> 2] for x in face}
         if len(labels) != 1:
             problems.append("face spans multiple connected pieces")
             continue
@@ -355,11 +345,11 @@ class Editor:
     """Mutable diagram that the move loops rewrite in place.
 
     Crossings have stable integer ids; the edge structure is a partner map
-    on darts.  ``to_diagram`` compacts ids in increasing order and assigns
-    dense edge labels in strand-traversal order, so equal editors yield
-    equal diagrams.  Because compaction keeps the order of ids, anything
-    ordered by dart (faces, and the sites found on them) comes out in the
-    same order on an editor as on the diagram it relabels to.
+    on integer darts.  ``to_diagram`` compacts ids in increasing order and
+    assigns dense edge labels in strand-traversal order, so equal editors
+    yield equal diagrams.  Because compaction keeps the order of ids,
+    anything ordered by dart (faces, and the sites found on them) comes out
+    in the same order on an editor as on the diagram it relabels to.
 
     A *pass* is one strand's trip through a crossing, from its entry dart
     to its exit dart; each crossing has an under pass and an over pass.
@@ -368,12 +358,17 @@ class Editor:
     through new passes.  ``rewire`` overwrites partner entries at once and
     returns what undoes it.
 
-    Faces are kept across rewrites.  Each face is stored under its least
-    dart, its *key*, and starts there.  ``connect``, ``rewire`` and
-    ``smooth_out`` record the darts whose partners they change; the next
-    read of the faces drops only the faces through those darts and traces
-    the orbits of what is left of them.  Every other face is the same
-    orbit as before.
+    Faces are kept across rewrites, each under its least dart, its *key*,
+    and starting there.  ``connect``, ``rewire`` and ``smooth_out`` record
+    the darts whose partners they change; every face that changed passes
+    one of them.  A read of the faces of one to three darts
+    (``faces_of_size``) drops those through recorded darts and follows at
+    most three steps of the orbit from each recorded dart.  The index of
+    all faces is built on the first read of them all (``faces``,
+    ``face_of``, ``retrace_faces``); later reads trace again only the faces
+    through darts recorded since.  The tails' places in label order
+    (``tail_rank``) survive ``smooth_out``, which keeps the order of the
+    tails left, unless it deletes the crossing a strand's walk started at.
     """
 
     def __init__(self) -> None:
@@ -381,13 +376,21 @@ class Editor:
         self.adj: dict[Dart, Dart] = {}
         self.free_loops = 0
         self._next = 0
-        self._tails: list[Dart] | None = None
-        # The face index, built on the first read: key -> face, dart -> key,
-        # and the keys of the faces of one, two and three darts.
+        # Tail ranks, and the crossings where the strand walk that gave
+        # them started each strand (None when the ranks are the copied
+        # diagram's labels, or when there are none).
+        self._rank: dict[Dart, int] | None = None
+        self._starts: set[int] | None = None
+        # The full face index, built on the first read: key -> face, dart
+        # -> key, and the darts changed since its last update.
         self._faces: dict[Dart, tuple[Dart, ...]] | None = None
         self._key_of: dict[Dart, Dart] = {}
-        self._small: dict[int, set[Dart]] = {1: set(), 2: set(), 3: set()}
         self._touched: set[Dart] = set()
+        # The small face index: size -> key -> face, dart -> face, and the
+        # darts changed since its last update.
+        self._small: dict[int, dict[Dart, tuple[Dart, ...]]] = {1: {}, 2: {}, 3: {}}
+        self._small_of: dict[Dart, tuple[Dart, ...]] = {}
+        self._small_touched: set[Dart] = set()
 
     @classmethod
     def from_diagram(cls, d: PDDiagram) -> "Editor":
@@ -399,19 +402,22 @@ class Editor:
         for ci, c in enumerate(d.crossings):
             ed.signs[ci] = c.sign
         ed.adj = dict(d.dart_partner)
-        ed._tails = [tail for _, (tail, _) in sorted(d.edge_ends.items())]
+        ed._small_touched = set(ed.adj)
+        ends = d.edge_ends
+        ed._rank = {ends[e][0]: k for k, e in enumerate(sorted(ends))}
         return ed
 
     def new_crossing(self, sign: int) -> int:
         cid = self._next
         self._next += 1
         self.signs[cid] = sign
-        self._tails = None
+        self._rank = self._starts = None
         return cid
 
     def _touch(self, darts: Iterable[Dart]) -> None:
         self._touched.update(darts)
-        self._tails = None
+        self._small_touched.update(darts)
+        self._rank = self._starts = None
 
     def connect(self, a: Dart, b: Dart) -> None:
         if a in self.adj or b in self.adj:
@@ -440,10 +446,11 @@ class Editor:
         return old
 
     def is_out_dart(self, d: Dart) -> bool:
-        return d[1] in out_slots(self.signs[d[0]])
+        s = d & 3
+        return s == 2 if not s & 1 else (s == 3) == (self.signs[d >> 2] > 0)
 
     def retrace_faces(self) -> tuple[list[Dart], list[tuple[Dart, ...]]]:
-        """Bring the face index up to date with the partner map.
+        """Bring the full face index up to date with the partner map.
 
         Returns the keys of the faces dropped since the last update and the
         faces traced in their place (every face, on the first update).  No
@@ -454,9 +461,7 @@ class Editor:
         if self._faces is None:
             self._faces = {}
             dropped: list[Dart] = []
-            starts: Iterable[Dart] = (
-                (ci, s) for ci in sorted(self.signs) for s in range(4)
-            )
+            starts: Iterable[Dart] = sorted(self.adj)
         elif self._touched:
             dropped = []
             freed = set(self._touched)
@@ -465,8 +470,6 @@ class Editor:
                 if key is None:
                     continue  # new, or on a face dropped already
                 face = self._faces.pop(key)
-                if len(face) < 4:
-                    self._small[len(face)].discard(key)
                 for x in face:
                     del self._key_of[x]
                 freed.update(face)
@@ -478,8 +481,6 @@ class Editor:
         traced = list(_orbits(starts, self.adj))
         for face in traced:
             self._faces[face[0]] = face
-            if len(face) < 4:
-                self._small[len(face)].add(face[0])
             for x in face:
                 self._key_of[x] = face[0]
         return dropped, traced
@@ -491,38 +492,69 @@ class Editor:
 
     def faces_of_size(self, k: int) -> list[tuple[Dart, ...]]:
         """The faces of ``k`` darts, for k = 1, 2 or 3, in face order."""
-        self.retrace_faces()
-        return [self._faces[key] for key in sorted(self._small[k])]
+        touched = self._small_touched
+        if touched:
+            adj, small, small_of = self.adj, self._small, self._small_of
+            for d in touched:
+                face = small_of.get(d)
+                if face is not None:
+                    del small[len(face)][face[0]]
+                    for x in face:
+                        del small_of[x]
+            for d in touched:
+                if d in small_of or d not in adj:
+                    continue
+                face = small_face(adj, d)
+                if face is not None:
+                    small[len(face)][face[0]] = face
+                    for x in face:
+                        small_of[x] = face
+            touched.clear()
+        faces = self._small[k]
+        return [faces[key] for key in sorted(faces)]
 
     def face_of(self, dart: Dart) -> tuple[Dart, ...]:
-        """The face through ``dart`` as of the last update of the index."""
+        """The face through ``dart`` as of the last update of the full index."""
         return self._faces[self._key_of[dart]]
 
-    def tails(self) -> list[Dart]:
-        """Edge tails in label order: the order in which ``to_diagram``
-        labels edges, or the copied diagram's until the first rewrite.
+    def tail_rank(self) -> dict[Dart, int]:
+        """Each edge tail's place in label order, the tails in that order:
+        the order in which ``to_diagram`` labels edges, or the copied
+        diagram's until the first rewrite.
 
         Two readers depend on this order: the order of several kinks in
         ``find_reducing_moves``, and the end of the chain of Seifert circles
         that Vogel's braid reader starts from."""
-        return self._tails or list(self._strand_tails())
+        if self._rank is None:
+            self._rank, self._starts = self._walk()
+        return self._rank
 
-    def _strand_tails(self) -> Iterator[Dart]:
-        # Each strand from the lowest unvisited out slot of the lowest id.
-        seen: set[Dart] = set()
-        for cid in sorted(self.signs):
-            for s in out_slots(self.signs[cid]):
-                d = (cid, s)
-                while d not in seen:
-                    seen.add(d)
-                    yield d
-                    c2, s2 = self.adj[d]
-                    d = (c2, strand_exit(self.signs[c2], s2))
+    def tails(self) -> list[Dart]:
+        """Edge tails in label order (see ``tail_rank``)."""
+        return list(self.tail_rank())
+
+    def _walk(self) -> tuple[dict[Dart, int], set[int]]:
+        # Each strand from the lowest unvisited out slot of the lowest id;
+        # returns the tail ranks and the crossings the strands start from.
+        adj, signs = self.adj, self.signs
+        rank: dict[Dart, int] = {}
+        starts: set[int] = set()
+        for cid in sorted(signs):
+            for s in out_slots(signs[cid]):
+                d = 4 * cid + s
+                if d in rank:
+                    continue
+                starts.add(cid)
+                while d not in rank:
+                    rank[d] = len(rank)
+                    d = adj[d] ^ 2
+        return rank, starts
 
     def passes(self, c: int) -> tuple[tuple[Dart, Dart], ...]:
         """The under pass and the over pass of crossing ``c``."""
-        sign = self.signs[c]
-        return tuple(((c, s), (c, strand_exit(sign, s))) for s in in_slots(sign))
+        d = 4 * c
+        over = d + in_slots(self.signs[c])[1]
+        return (d, d + 2), (over, over ^ 2)
 
     def thread(self, tail: Dart, passes: Iterable[tuple[Dart, Dart]]) -> None:
         """Route the edge leaving ``tail`` through ``passes`` in order, then
@@ -538,26 +570,37 @@ class Editor:
 
         A pass whose ends are wired to each other closed a strand lying
         wholly inside the removed set, and becomes a free loop.  This is
-        the common primitive behind the reducing Reidemeister moves.
+        the common primitive behind the reducing Reidemeister moves.  The
+        tail ranks of a strand walk survive unless a strand started at a
+        removed crossing.
         """
-        for c in set(removed):
+        removed = set(removed)
+        rank = self._rank
+        if self._starts is None or not self._starts.isdisjoint(removed):
+            rank = self._rank = self._starts = None
+        adj = self.adj
+        for c in removed:
             for a, b in self.passes(c):
-                p = self.adj.pop(a)
-                q = self.adj.pop(b)
+                p = adj.pop(a)
+                q = adj.pop(b)
                 if p == b:
                     self.free_loops += 1
                 else:
-                    self.adj[p] = q
-                    self.adj[q] = p
-                self._touch((a, b, p, q))
+                    adj[p] = q
+                    adj[q] = p
+                self._touched.update((a, b, p, q))
+                self._small_touched.update((a, b, p, q))
+                if rank is not None:
+                    rank.pop(b)
             del self.signs[c]
 
     def to_diagram(self) -> PDDiagram:
+        rank = self._rank if self._starts is not None else self._walk()[0]
         label: dict[Dart, int] = {}
-        for k, tail in enumerate(self._strand_tails(), 1):
+        for k, tail in enumerate(rank, 1):
             label[tail] = label[self.adj[tail]] = k
         crossings = tuple(
-            Crossing(tuple(label[(cid, s)] for s in range(4)), self.signs[cid])
+            Crossing(tuple(label[4 * cid + s] for s in range(4)), self.signs[cid])
             for cid in sorted(self.signs)
         )
         return PDDiagram(crossings, self.free_loops)

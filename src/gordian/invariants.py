@@ -57,9 +57,8 @@ def _contraction_order(d: PDDiagram) -> tuple[list[int], int]:
     the lowest index.
     """
     partner = d.dart_partner
-    gain = [
-        sum(1 for s in range(4) if partner[(c, s)][0] == c) for c in range(d.n)
-    ]
+    gain = [sum(partner[x] >> 2 == c for x in range(4 * c, 4 * c + 4))
+            for c in range(d.n)]
     todo = set(range(d.n))
     order: list[int] = []
     width = peak = 0
@@ -69,8 +68,8 @@ def _contraction_order(d: PDDiagram) -> tuple[list[int], int]:
         order.append(c)
         width += 4 - gain[c]
         peak = max(peak, width)
-        for s in range(4):
-            nb = partner[(c, s)][0]
+        for x in range(4 * c, 4 * c + 4):
+            nb = partner[x] >> 2
             if nb in todo:
                 gain[nb] += 2
     return order, peak
@@ -114,17 +113,17 @@ def kauffman_bracket(d: PDDiagram) -> LaurentPoly:
         # that then has both ends on it: an old end with a slot, or a kink.
         glue = []
         for s in range(4):
-            p = partner[(c, s)]
+            p = partner[4 * c + s]
             if p in at:
                 glue.append((at[p], f + s))
-            elif p[0] == c and p[1] > s:
-                glue.append((f + s, f + p[1]))
+            elif p >> 2 == c and p & 3 > s:
+                glue.append((f + s, f + (p & 3)))
         glued = {i for pair in glue for i in pair}
         live = [i for i in range(f + 4) if i not in glued]
         renumber = [-1] * (f + 4)
         for k, i in enumerate(live):
             renumber[i] = k
-        frontier = [frontier[i] if i < f else (c, i - f) for i in live]
+        frontier = [frontier[i] if i < f else 4 * c + i - f for i in live]
         opened = [
             (tuple(f + t for t in smooth), a_exp) for smooth, a_exp in _SMOOTHINGS
         ]
@@ -282,7 +281,8 @@ def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
     # No row swaps: each Bareiss pivot is a leading principal minor of
     # psi - I, and at t = 1 psi is the permutation matrix of one k-cycle,
     # so every leading q x q block of psi - I holds no cycle and has
-    # determinant (-1)**q.  No pivot is zero.
+    # determinant (-1)**q.  No pivot is zero.  The first step's divisor is
+    # ``one``, so that step does not divide.
     denom = one
     for p in range(n - 1):
         pivot = m[p][p]
@@ -291,7 +291,8 @@ def alexander(x: PDDiagram | BraidWord) -> LaurentPoly:
         for i in range(p + 1, n):
             for j in range(p + 1, n):
                 m[i][j] = m[i][j] * pivot - m[i][p] * m[p][j]
-                m[i][j] = m[i][j].exact_div(denom)
+                if p:
+                    m[i][j] = m[i][j].exact_div(denom)
         denom = pivot
     raw = m[-1][-1] if m else one
     if raw.is_zero():
@@ -320,7 +321,9 @@ def _symmetric_signature(rows: list[list[int]]) -> int:
 
     The block below each pivot is updated fraction-free (Bareiss): it is
     the rational Schur complement times the previous pivot, so a rational
-    pivot is positive when two consecutive pivots agree in sign.
+    pivot is positive when two consecutive pivots agree in sign.  Swaps,
+    pair sums and the update all keep the matrix symmetric, so the update
+    computes the entries on and above the diagonal and mirrors them.
     """
     n = len(rows)
     a = [row[:] for row in rows]
@@ -360,8 +363,9 @@ def _symmetric_signature(rows: list[list[int]]) -> int:
         else:
             neg += 1
         for r in range(i + 1, n):
-            for j in range(i + 1, n):
-                a[r][j] = _exact_div(p * a[r][j] - a[r][i] * a[i][j], prev)
+            row, ari = a[r], a[r][i]
+            for j in range(r, n):
+                row[j] = a[j][r] = _exact_div(p * row[j] - ari * a[i][j], prev)
         prev = p
     return pos - neg
 

@@ -32,9 +32,9 @@ from .diagram import (
     Dart,
     Editor,
     PDDiagram,
-    face_orbits,
     interlacement,
     out_slots,
+    small_face,
 )
 from .errors import InputError, InternalError
 
@@ -85,40 +85,41 @@ def _editor(x: PDDiagram | Editor) -> Editor:
 
 def _is_kink(adj: dict[Dart, Dart], dart: Dart) -> bool:
     """Whether the edge at ``dart`` has both ends at one crossing."""
-    return adj[dart][0] == dart[0]
+    return adj[dart] >> 2 == dart >> 2
 
 
 def _keeps_level(adj: dict[Dart, Dart], dart: Dart) -> bool:
     """Whether the edge at ``dart`` is over at both ends or under at both
     (over slots are odd)."""
-    return dart[1] % 2 == adj[dart][1] % 2
+    return not (dart ^ adj[dart]) & 1
 
 
 def _is_reducible_bigon(adj: dict[Dart, Dart], face: tuple[Dart, ...]) -> bool:
     """Whether ``face`` is a bigon between two crossings whose edges keep
     their levels: one strand passes over the other at both."""
-    return len(face) == 2 and face[0][0] != face[1][0] and _keeps_level(adj, face[0])
+    return (len(face) == 2 and face[0] >> 2 != face[1] >> 2
+            and _keeps_level(adj, face[0]))
 
 
 def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
     """Reducible R2 sites in face order, then R1 sites in edge-label order.
 
     A kink is a one-dart face: in a planar diagram an edge with both ends
-    at one crossing joins adjacent slots, so it bounds a monogon.
+    at one crossing joins adjacent slots, so it bounds a monogon.  Several
+    kinks are ordered by the rank of each kink edge's tail.
     """
     ed = _editor(x)
     adj = ed.adj
     moves = [
-        Move("R2-", (face[0][0], face[1][0]))
+        Move("R2-", (face[0] >> 2, face[1] >> 2))
         for face in ed.faces_of_size(2)
         if _is_reducible_bigon(adj, face)
     ]
-    # Most diagrams have at most one kink, so kinks are put in label order
-    # only when there are several.
     kinks = [face[0] for face in ed.faces_of_size(1)]
     if len(kinks) > 1:
-        kinks = [tail for tail in ed.tails() if _is_kink(adj, tail)]
-    moves.extend(Move("R1-", (ci,)) for ci, _ in kinks)
+        rank = ed.tail_rank()
+        kinks.sort(key=lambda d: rank[d] if d in rank else rank[adj[d]])
+    moves.extend(Move("R1-", (d >> 2,)) for d in kinks)
     return moves
 
 
@@ -127,7 +128,7 @@ def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
     ed = _editor(x)
     moves: list[Move] = []
     for face in ed.faces_of_size(3):
-        if len({ci for ci, _ in face}) != 3:
+        if len({d >> 2 for d in face}) != 3:
             continue
         for p in range(3):
             if _keeps_level(ed.adj, face[p]):
@@ -156,19 +157,19 @@ def _slide(adj: dict[Dart, Dart], site: tuple) -> dict[Dart, Dart]:
     d1 = face[(p - 1) % 3]
     d2 = face[p]
     d3 = face[(p + 1) % 3]
-    x, y, z = d1[0], d2[0], d3[0]
-    # Near (triangle-facing) slots of the three strands at their crossings.
+    # Near (triangle-facing) darts of the three strands at X, Y, Z, where
+    # the face passes d1, d2, d3; each partner lies at the next crossing.
     strands = (
-        ((y, d2[1]), (z, adj[d2][1])),  # sliding strand, through Y and Z
-        ((x, d1[1]), (y, adj[d1][1])),  # strand through X and Y
-        ((z, d3[1]), (x, adj[d3][1])),  # strand through Z and X
+        (d2, adj[d2]),  # sliding strand, through Y and Z
+        (d1, adj[d1]),  # strand through X and Y
+        (d3, adj[d3]),  # strand through Z and X
     )
     relocate: dict[Dart, Dart] = {}
-    for (g, ng), (h, nh) in strands:
-        relocate[(g, ng)] = (g, (ng + 2) % 4)
-        relocate[(h, nh)] = (h, (nh + 2) % 4)
-        relocate[(g, (ng + 2) % 4)] = (h, nh)
-        relocate[(h, (nh + 2) % 4)] = (g, ng)
+    for g, h in strands:
+        relocate[g] = g ^ 2
+        relocate[h] = h ^ 2
+        relocate[g ^ 2] = h
+        relocate[h ^ 2] = g
     if len(relocate) != 12:
         raise InternalError("triangle slots are not pairwise distinct")
     pairs: dict[Dart, Dart] = {}
@@ -240,7 +241,7 @@ def sample_increasing_move(x: PDDiagram | Editor, rng: random.Random) -> Move | 
                 db = face[rng.randrange(len(face))]
                 if db not in (da, ed.adj[da]):
                     return Move("R2+", (da, db))
-    tails = sorted((ci, s) for ci, sign in ed.signs.items() for s in out_slots(sign))
+    tails = sorted(4 * ci + s for ci, sign in ed.signs.items() for s in out_slots(sign))
     tail = tails[rng.randrange(len(tails))]
     sign = 1 if rng.random() < 0.5 else -1
     return Move("R1+", (tail, sign, rng.random() < 0.5))
@@ -266,8 +267,9 @@ def _reduce_fully(ed: Editor) -> bool:
 
 def _exposes_reduction(adj: dict[Dart, Dart], crossings: set[int]) -> bool:
     """Whether a kink or a reducible bigon has a dart at ``crossings``."""
-    return any(_is_kink(adj, (c, s)) for c in crossings for s in range(4)) or any(
-        _is_reducible_bigon(adj, face) for face in face_orbits(crossings, adj)
+    darts = [d for c in crossings for d in range(4 * c, 4 * c + 4)]
+    return any(_is_kink(adj, d) for d in darts) or any(
+        _is_reducible_bigon(adj, small_face(adj, d) or ()) for d in darts
     )
 
 
@@ -286,7 +288,7 @@ def simplify_greedy(d: PDDiagram) -> PDDiagram:
         progress = False
         for move in find_r3_moves(ed):
             undo = ed.rewire(_slide(ed.adj, move.site))
-            exposed = _exposes_reduction(ed.adj, {ci for ci, _ in move.site[0]})
+            exposed = _exposes_reduction(ed.adj, {d >> 2 for d in move.site[0]})
             ed.rewire(undo)
             if exposed:
                 apply_move(ed, move)
@@ -393,11 +395,9 @@ def connected_sum(a: PDDiagram, b: PDDiagram) -> PDDiagram:
     for c in b.crossings:
         ed.new_crossing(c.sign)  # ids shift, shift + 1, ...
     for tail, head in b.edge_ends.values():
-        ed.connect((tail[0] + shift, tail[1]), (head[0] + shift, head[1]))
+        ed.connect(tail + 4 * shift, head + 4 * shift)
     ta = a.edge_ends[min(a.edge_ends)][0]
-    tb0, hb0 = b.edge_ends[min(b.edge_ends)]
-    tb = (tb0[0] + shift, tb0[1])
-    hb = (hb0[0] + shift, hb0[1])
+    tb, hb = (x + 4 * shift for x in b.edge_ends[min(b.edge_ends)])
     ha = ed.disconnect(ta)
     ed.disconnect(tb)
     ed.connect(ta, hb)
@@ -418,7 +418,7 @@ def deconnect_sum(d: PDDiagram) -> tuple[PDDiagram, ...]:
         raise InputError("deconnect_sum expects a one-component diagram")
     if d.n == 0:
         return (d,)
-    sequence = [d.edge_ends[e][1][0] for e in d.components[0]]
+    sequence = [d.edge_ends[e][1] >> 2 for e in d.components[0]]
     _, pieces = interlacement(sequence)
     if len(pieces) == 1:
         return (d,)

@@ -14,8 +14,6 @@ from gordian.diagram import (
     PDDiagram,
     in_slots,
     out_slots,
-    seifert_exit,
-    strand_exit,
 )
 from gordian.errors import InternalError
 from gordian.invariants import _SMOOTHINGS, _contraction_order, seifert_matrix
@@ -76,6 +74,88 @@ def editing_corpus(rng: random.Random, count: int) -> list:
         else:
             out.append(backtrack_randomize(random_knot_diagram(rng, 8), 12, seed=i))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference dart encoding: (crossing, slot) pairs, with the orbit tracer and
+# strand walk that ran on them before darts became 4 * crossing + slot
+# ---------------------------------------------------------------------------
+
+
+def tuple_partner(d) -> dict:
+    """The dart pairing of diagram ``d`` in (crossing, slot) pairs, read off
+    its edge labels."""
+    ends: dict = {}
+    for ci, c in enumerate(d.crossings):
+        for s in range(4):
+            ends.setdefault(c.edges[s], []).append((ci, s))
+    partner = {}
+    for a, b in ends.values():
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def tuple_face_orbits(crossings, partner) -> tuple:
+    """Faces meeting ``crossings``: orbits of ``rotate(partner(dart))``,
+    each from the first dart met in (crossing, slot) order."""
+    seen: set = set()
+    faces = []
+    for start in ((ci, s) for ci in crossings for s in range(4)):
+        if start in seen:
+            continue
+        orbit = [start]
+        cj, t = partner[start]
+        d = (cj, (t + 1) % 4)
+        while d != start:
+            orbit.append(d)
+            cj, t = partner[d]
+            d = (cj, (t + 1) % 4)
+        seen.update(orbit)
+        faces.append(tuple(orbit))
+    return tuple(faces)
+
+
+def tuple_strand_walk(signs: dict, partner: dict) -> tuple[list, set]:
+    """Edge tails in ``Editor.to_diagram``'s label order, each strand walked
+    from the lowest unvisited out slot of the lowest crossing id, and the
+    crossings the strands start from."""
+    seen: set = set()
+    tails, starts = [], set()
+    for cid in sorted(signs):
+        for s in out_slots(signs[cid]):
+            d = (cid, s)
+            if d not in seen:
+                starts.add(cid)
+            while d not in seen:
+                seen.add(d)
+                tails.append(d)
+                c2, s2 = partner[d]
+                d = (c2, strand_exit(signs[c2], s2))
+    return tails, starts
+
+
+def tuple_label_tails(d) -> list:
+    """Edge tails of diagram ``d`` in the order of its edge labels."""
+    tails = {
+        c.edges[s]: (ci, s)
+        for ci, c in enumerate(d.crossings)
+        for s in out_slots(c.sign)
+    }
+    return [tails[e] for e in sorted(tails)]
+
+
+def as_pairs(faces) -> tuple:
+    """Integer-dart faces in (crossing, slot) pairs."""
+    return tuple(tuple(divmod(x, 4) for x in face) for face in faces)
+
+
+def reference_kink_order(adj: dict, tails) -> list[int]:
+    """The crossings of the kinks in the order of their edge tails: the rule
+    ``[t for t in ed.tails() if kink]`` by which ``find_reducing_moves``
+    ordered several kinks before it kept tail ranks.  ``tails`` are integer
+    darts.  A kink is an edge with both ends at one crossing; in a planar
+    diagram each bounds a one-dart face."""
+    return [t >> 2 for t in tails if adj[t] >> 2 == t >> 2]
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +222,8 @@ def two_edge_cut_split(d) -> tuple:
     edges = sorted(d.edge_ends)
     incident = {ci: [] for ci in range(d.n)}
     for e, (tail, head) in d.edge_ends.items():
-        incident[tail[0]].append(e)
-        incident[head[0]].append(e)
+        incident[tail >> 2].append(e)
+        incident[head >> 2].append(e)
     for i, e in enumerate(edges):
         for f in edges[i + 1:]:
             reached = {0}
@@ -154,7 +234,7 @@ def two_edge_cut_split(d) -> tuple:
                     if g in (e, f):
                         continue
                     tail, head = d.edge_ends[g]
-                    nb = head[0] if tail[0] == ci else tail[0]
+                    nb = head >> 2 if tail >> 2 == ci else tail >> 2
                     if nb not in reached:
                         reached.add(nb)
                         stack.append(nb)
@@ -168,9 +248,9 @@ def _split_at_cut(d, e: int, f: int, side: set) -> tuple:
     # other; each half is closed up by joining its two loose ends.
     te, he = d.edge_ends[e]
     tf, hf = d.edge_ends[f]
-    if he[0] not in side:
+    if he >> 2 not in side:
         te, he, tf, hf = tf, hf, te, he
-    assert he[0] in side and hf[0] not in side
+    assert he >> 2 in side and hf >> 2 not in side
     parts = []
     for crossings, inner, outer in (
         (side, he, tf),
@@ -180,7 +260,7 @@ def _split_at_cut(d, e: int, f: int, side: set) -> tuple:
         for ci in sorted(crossings):
             ed.signs[ci] = d.crossings[ci].sign
         for g, (tail, head) in d.edge_ends.items():
-            if g not in (e, f) and tail[0] in crossings:
+            if g not in (e, f) and tail >> 2 in crossings:
                 ed.connect(tail, head)
         ed.connect(outer, inner)
         parts.extend(two_edge_cut_split(ed.to_diagram()))
@@ -272,6 +352,17 @@ def fraction_rank(rows: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def strand_exit(sign: int, slot: int) -> int:
+    """Continue a strand through a crossing: entry slot -> exit slot."""
+    if slot == 0:
+        return 2
+    if sign > 0 and slot == 1:
+        return 3
+    if sign < 0 and slot == 3:
+        return 1
+    raise InternalError(f"slot {slot} is not an entry slot at sign {sign:+d}")
+
+
 def strand_entry(sign: int, slot: int) -> int:
     """Inverse of :func:`strand_exit`: exit slot -> entry slot."""
     if slot == 2:
@@ -290,16 +381,16 @@ def walk_smooth_out(ed: Editor, removed) -> None:
     rem = set(removed)
     if not rem:
         return
-    rem_darts = {(c, s) for c in rem for s in range(4)}
+    rem_darts = {4 * c + s for c in rem for s in range(4)}
 
     def through(d: Dart) -> Dart:
-        # Continue the strand across crossing d[0], with the walk's
+        # Continue the strand across crossing d >> 2, with the walk's
         # direction inferred from whether d is an entry or exit dart.
-        c, s = d
+        c, s = divmod(d, 4)
         sign = ed.signs[c]
         if s in in_slots(sign):
-            return (c, strand_exit(sign, s))
-        return (c, strand_entry(sign, s))
+            return 4 * c + strand_exit(sign, s)
+        return 4 * c + strand_entry(sign, s)
 
     # Reconnect strands that leave the removed region.
     boundary = [
@@ -355,15 +446,15 @@ def wired_r1_plus(d, site):
     tail, sign, first_under = site
     ed = Editor.from_diagram(d)
     head = ed.disconnect(tail)
-    c = ed.new_crossing(sign)
+    c = 4 * ed.new_crossing(sign)
     if sign > 0 and first_under:
-        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 1)), ed.connect((c, 3), head)
+        ed.connect(tail, c + 0), ed.connect(c + 2, c + 1), ed.connect(c + 3, head)
     elif sign < 0 and first_under:
-        ed.connect(tail, (c, 0)), ed.connect((c, 2), (c, 3)), ed.connect((c, 1), head)
+        ed.connect(tail, c + 0), ed.connect(c + 2, c + 3), ed.connect(c + 1, head)
     elif sign < 0:
-        ed.connect(tail, (c, 3)), ed.connect((c, 1), (c, 0)), ed.connect((c, 2), head)
+        ed.connect(tail, c + 3), ed.connect(c + 1, c + 0), ed.connect(c + 2, head)
     else:
-        ed.connect(tail, (c, 1)), ed.connect((c, 3), (c, 0)), ed.connect((c, 2), head)
+        ed.connect(tail, c + 1), ed.connect(c + 3, c + 0), ed.connect(c + 2, head)
     return ed.to_diagram()
 
 
@@ -376,24 +467,24 @@ def wired_push_arc_over(d, da, db):
     tb, hb = (db, ed.adj[db]) if fb else (ed.adj[db], db)
     ed.disconnect(ta)
     ed.disconnect(tb)
-    c1 = ed.new_crossing(+1 if fb else -1)
-    c2 = ed.new_crossing(-1 if fb else +1)
+    c1 = 4 * ed.new_crossing(+1 if fb else -1)
+    c2 = 4 * ed.new_crossing(-1 if fb else +1)
     if fb:
-        ed.connect(ta, (c1, 1))
-        ed.connect((c1, 3), (c2, 3))
-        ed.connect((c2, 1), ha)
+        ed.connect(ta, c1 + 1)
+        ed.connect(c1 + 3, c2 + 3)
+        ed.connect(c2 + 1, ha)
     else:
-        ed.connect(ta, (c1, 3))
-        ed.connect((c1, 1), (c2, 1))
-        ed.connect((c2, 3), ha)
+        ed.connect(ta, c1 + 3)
+        ed.connect(c1 + 1, c2 + 1)
+        ed.connect(c2 + 3, ha)
     if fa == fb:
-        ed.connect(tb, (c2, 0))
-        ed.connect((c2, 2), (c1, 0))
-        ed.connect((c1, 2), hb)
+        ed.connect(tb, c2 + 0)
+        ed.connect(c2 + 2, c1 + 0)
+        ed.connect(c1 + 2, hb)
     else:
-        ed.connect(tb, (c1, 0))
-        ed.connect((c1, 2), (c2, 0))
-        ed.connect((c2, 2), hb)
+        ed.connect(tb, c1 + 0)
+        ed.connect(c1 + 2, c2 + 0)
+        ed.connect(c2 + 2, hb)
     return ed.to_diagram()
 
 
@@ -423,13 +514,13 @@ def reference_reducing_moves(d) -> list:
     for face in d.faces:
         if len(face) != 2:
             continue
-        (c1, s1), (c2, s2) = face
-        if c1 != c2 and s1 % 2 == partner[(c1, s1)][1] % 2:
+        (c1, s1), (c2, s2) = divmod(face[0], 4), divmod(face[1], 4)
+        if c1 != c2 and s1 % 2 == partner[face[0]] % 4 % 2:
             moves.append(Move("R2-", (c1, c2)))
     for e in sorted(d.edge_ends):
         tail, head = d.edge_ends[e]
-        if tail[0] == head[0]:
-            moves.append(Move("R1-", (tail[0],)))
+        if tail >> 2 == head >> 2:
+            moves.append(Move("R1-", (tail >> 2,)))
     return moves
 
 
@@ -437,11 +528,11 @@ def reference_r3_moves(d) -> list:
     moves = []
     partner = d.dart_partner
     for face in d.faces:
-        if len(face) != 3 or len({ci for ci, _ in face}) != 3:
+        if len(face) != 3 or len({x >> 2 for x in face}) != 3:
             continue
         for p in range(3):
-            ci, s = face[p]
-            if s % 2 == partner[(ci, s)][1] % 2:
+            ci, s = divmod(face[p], 4)
+            if s % 2 == partner[face[p]] % 4 % 2:
                 moves.append(Move("R3", (face, p)))
     return moves
 
@@ -453,14 +544,14 @@ def reference_increasing_move(d, rng: random.Random):
         faces = [f for f in d.faces if len(f) >= 2]
         if faces:
             face = faces[rng.randrange(len(faces))]
-            edge = [d.crossings[ci].edges[s] for ci, s in face]
+            edge = [d.crossings[x >> 2].edges[x & 3] for x in face]
             for _ in range(8):
                 a = rng.randrange(len(face))
                 b = rng.randrange(len(face))
                 if a != b and edge[a] != edge[b]:
                     return Move("R2+", (face[a], face[b]))
     tails = sorted(
-        (ci, s) for ci, c in enumerate(d.crossings) for s in out_slots(c.sign)
+        4 * ci + s for ci, c in enumerate(d.crossings) for s in out_slots(c.sign)
     )
     tail = tails[rng.randrange(len(tails))]
     sign = 1 if rng.random() < 0.5 else -1
@@ -472,18 +563,18 @@ def reference_r3(d, site):
     face, p = site
     partner = d.dart_partner
     d1, d2, d3 = face[(p - 1) % 3], face[p], face[(p + 1) % 3]
-    x, y, z = d1[0], d2[0], d3[0]
+    x, y, z = d1 >> 2, d2 >> 2, d3 >> 2
     strands = (
-        ((y, d2[1]), (z, partner[d2][1])),
-        ((x, d1[1]), (y, partner[d1][1])),
-        ((z, d3[1]), (x, partner[d3][1])),
+        ((y, d2 & 3), (z, partner[d2] & 3)),
+        ((x, d1 & 3), (y, partner[d1] & 3)),
+        ((z, d3 & 3), (x, partner[d3] & 3)),
     )
     relocate = {}
     for (g, ng), (h, nh) in strands:
-        relocate[(g, ng)] = (g, (ng + 2) % 4)
-        relocate[(h, nh)] = (h, (nh + 2) % 4)
-        relocate[(g, (ng + 2) % 4)] = (h, nh)
-        relocate[(h, (nh + 2) % 4)] = (g, ng)
+        relocate[4 * g + ng] = 4 * g + (ng + 2) % 4
+        relocate[4 * h + nh] = 4 * h + (nh + 2) % 4
+        relocate[4 * g + (ng + 2) % 4] = 4 * h + nh
+        relocate[4 * h + (nh + 2) % 4] = 4 * g + ng
     assert len(relocate) == 12
     ed = Editor.from_diagram(d)
     ed.adj = {relocate.get(a, a): relocate.get(b, b) for a, b in ed.adj.items()}
@@ -578,6 +669,17 @@ def reference_backtrack_randomize(d, steps: int, *, seed: int):
     return cur
 
 
+def seifert_exit(sign: int, slot: int) -> int:
+    """Continue through the orientation-preserving smoothing of a crossing."""
+    if sign > 0:
+        pairing = {0: 3, 1: 2}
+    else:
+        pairing = {0: 1, 3: 2}
+    if slot not in pairing:
+        raise InternalError(f"slot {slot} is not an entry slot at sign {sign:+d}")
+    return pairing[slot]
+
+
 def seifert_circles(d) -> list[tuple[int, ...]]:
     """Seifert circles as edge cycles, each from the lowest edge label it
     passes, in the order of those labels."""
@@ -592,7 +694,7 @@ def seifert_circles(d) -> list[tuple[int, ...]]:
         while e not in seen:
             seen.add(e)
             cyc.append(e)
-            ci, s = ends[e][1]
+            ci, s = divmod(ends[e][1], 4)
             c = d.crossings[ci]
             e = c.edges[seifert_exit(c.sign, s)]
         circles.append(tuple(cyc))
@@ -603,13 +705,14 @@ def reference_incoherent_pair(d):
     of_edge = {e: i for i, cyc in enumerate(seifert_circles(d)) for e in cyc}
     for face in d.faces:
         seen = []
-        for ci, s in face:
+        for x in face:
+            ci, s = divmod(x, 4)
             circ = of_edge[d.crossings[ci].edges[s]]
             out = s in out_slots(d.crossings[ci].sign)
             for circ2, out2, dart in seen:
                 if circ2 != circ and out2 == out:
-                    return dart, (ci, s)
-            seen.append((circ, out, (ci, s)))
+                    return dart, x
+            seen.append((circ, out, x))
     return None
 
 
@@ -667,7 +770,7 @@ def reference_read_braid(d) -> BraidWord:
     cut: dict[int, int] = {}
     face = None
     for f in d.faces:
-        if {of_edge[d.crossings[ci].edges[s]] for ci, s in f} == {order[0]}:
+        if {of_edge[d.crossings[x >> 2].edges[x & 3]] for x in f} == {order[0]}:
             face = f
             break
     if face is None:
@@ -676,13 +779,13 @@ def reference_read_braid(d) -> BraidWord:
     for g in order:
         chosen = None
         for dart in face:
-            ci, s = dart
+            ci, s = divmod(dart, 4)
             if of_edge[d.crossings[ci].edges[s]] == g:
                 chosen = dart
                 break
         if chosen is None:
             raise InternalError("cut walk lost the next circle")
-        edge = d.crossings[chosen[0]].edges[chosen[1]]
+        edge = d.crossings[chosen >> 2].edges[chosen & 3]
         cut[g] = edge
         face = dart_face[d.dart_partner[chosen]]
 
@@ -696,7 +799,7 @@ def reference_read_braid(d) -> BraidWord:
         seq = []
         for j in range(len(cyc)):
             e = cyc[(start_pos + j) % len(cyc)]
-            seq.append(d.edge_ends[e][1][0])
+            seq.append(d.edge_ends[e][1] >> 2)
         for a, b in zip(seq, seq[1:]):
             succ[a].append(b)
             indeg[b] += 1
@@ -741,8 +844,7 @@ def state_sum_bracket(d) -> LaurentPoly:
     assert 1 <= n <= STATE_SUM_MAX_CROSSINGS, "oracle is for small diagrams"
     match = [0] * (4 * n)
     for tail, head in d.edge_ends.values():
-        ti, hi = 4 * tail[0] + tail[1], 4 * head[0] + head[1]
-        match[ti], match[hi] = hi, ti
+        match[tail], match[head] = head, tail
     # A-smoothing pairs slots (1,2),(3,0); B-smoothing pairs (0,1),(2,3).
     pa = [4 * (i >> 2) + (3, 2, 1, 0)[i & 3] for i in range(4 * n)]
     pb = [4 * (i >> 2) + (1, 0, 3, 2)[i & 3] for i in range(4 * n)]
@@ -797,21 +899,21 @@ def reference_contraction_bracket(d) -> tuple[LaurentPoly, int]:
         slot_at = [-1] * len(frontier)  # old position -> slot it ends at
         fresh: list[Dart] = []
         for s in range(4):
-            p = partner[(c, s)]
+            p = partner[4 * c + s]
             if p in at:
                 link[s] = at[p]
                 slot_at[at[p]] = s
-            elif p[0] == c:
-                link[s] = -1 - p[1]
+            elif p >> 2 == c:
+                link[s] = -1 - (p & 3)
             else:
                 is_fresh[s] = True
-                fresh.append((c, s))
+                fresh.append(4 * c + s)
         kept = [i for i in range(len(frontier)) if slot_at[i] < 0]
         renumber = [-1] * len(frontier)
         for k, i in enumerate(kept):
             renumber[i] = k
-        for k, (_, s) in enumerate(fresh):
-            link[s] = len(kept) + k
+        for k, dart in enumerate(fresh):
+            link[dart & 3] = len(kept) + k
         frontier = [frontier[i] for i in kept] + fresh
         pad = [-1] * (len(frontier) - len(kept))
         merged: dict[tuple[int, ...], dict[int, int]] = {}

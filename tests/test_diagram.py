@@ -10,7 +10,6 @@ from gordian.diagram import (
     Crossing,
     Editor,
     PDDiagram,
-    face_orbits,
     pd_from_text,
     pd_to_text,
     validate_pd,
@@ -22,7 +21,17 @@ from gordian.moves import (
     find_reducing_moves,
     sample_increasing_move,
 )
-from tests.conftest import editing_corpus, random_knot_diagram, walk_smooth_out
+from tests.conftest import (
+    as_pairs,
+    editing_corpus,
+    random_knot_diagram,
+    reference_kink_order,
+    tuple_face_orbits,
+    tuple_label_tails,
+    tuple_partner,
+    tuple_strand_walk,
+    walk_smooth_out,
+)
 
 
 def trefoil() -> PDDiagram:
@@ -134,41 +143,102 @@ def test_smooth_out_matches_the_boundary_walk(rng):
     assert looped >= 300  # removals that close strands into free loops
 
 
-def assert_faces_match_a_rescan(ed: Editor) -> None:
-    faces = face_orbits(sorted(ed.signs), ed.adj)
+def assert_faces_match_a_rescan(ed: Editor, tails: list) -> int:
+    """Both face indexes against a rescan, the tails against the walk
+    ``tails`` (integer darts), and the kinks against the old order rule;
+    returns the number of kinks.
+
+    smooth_out of an arbitrary set can leave a link diagram that is not
+    planar (two loops through one crossing at opposite slots), where an
+    edge with both ends at one crossing bounds no one-dart face; the kink
+    order is checked on the planar states only, which are all the move
+    loops meet."""
+    pairs = {divmod(a, 4): divmod(b, 4) for a, b in ed.adj.items()}
+    faces = tuple(
+        tuple(4 * c + s for c, s in face)
+        for face in tuple_face_orbits(sorted(ed.signs), pairs)
+    )
     assert ed.faces() == faces
     for k in (1, 2, 3):
         assert ed.faces_of_size(k) == [f for f in faces if len(f) == k]
     assert all(ed.face_of(dart) == face for face in faces for dart in face)
+    assert ed.tails() == tails
+    kinks = [m.site[0] for m in find_reducing_moves(ed) if m.kind == "R1-"]
+    if len(faces) - len(ed.signs) == 2 * components(ed):
+        assert kinks == reference_kink_order(ed.adj, tails)
+    return len(kinks)
+
+
+def components(ed: Editor) -> int:
+    """Connected pieces of the crossing graph of ``ed``."""
+    seen: set[int] = set()
+    count = 0
+    for c in ed.signs:
+        if c in seen:
+            continue
+        count += 1
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(ed.adj[d] >> 2 for d in range(4 * x, 4 * x + 4))
+    return count
+
+
+def walked_tails(ed: Editor) -> tuple[list, set]:
+    """The reference strand walk over ``ed``, in integer darts, and the
+    crossings its strands start from."""
+    pairs = {divmod(a, 4): divmod(b, 4) for a, b in ed.adj.items()}
+    tails, starts = tuple_strand_walk(ed.signs, pairs)
+    return [4 * c + s for c, s in tails], starts
 
 
 def test_face_index_matches_a_rescan_after_every_rewrite(rng):
-    # The editor keeps its faces across rewrites and traces again only the
-    # faces through the darts a rewrite touched.  After every kind of
-    # rewrite the index must equal a whole-diagram rescan: moves through
-    # apply_move, a triangle slide tried in place and undone (as greedy
-    # does), smooth_out of arbitrary crossing sets (as deconnect_sum does)
-    # and thread through the passes of new crossings in any order.
+    # The editor keeps its small faces (one to three darts) by a bounded
+    # orbit check from each touched dart, its full face index by tracing
+    # again only the faces through touched darts, and its tail ranks across
+    # smooth_out.  After every kind of rewrite, read at once or after a few
+    # more, both indexes must equal a whole-diagram rescan and several kinks
+    # must come in the order of their tails in a fresh strand walk: moves
+    # through apply_move, a triangle slide tried in place and undone (as
+    # greedy does), smooth_out of arbitrary crossing sets (as deconnect_sum
+    # does), some deleting a crossing a strand starts from and some closing
+    # free loops, and thread through the passes of new crossings.
     kinds = Counter()
     for d in editing_corpus(rng, 150):
         for _ in range(3):
             ed = Editor.from_diagram(d)
-            assert_faces_match_a_rescan(ed)
-            ed.smooth_out(rng.sample(range(d.n), rng.randint(0, d.n)))
-            assert_faces_match_a_rescan(ed)
-            kinds["smooth_out"] += 1
+            assert_faces_match_a_rescan(ed, [4 * c + s for c, s in tuple_label_tails(d)])
+            if ed.signs and rng.random() < 0.7:
+                # An edge threaded through no passes: the same diagram, whose
+                # tails are walked from here on.
+                ed.thread(rng.choice(ed.tails()), ())
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+            for _ in range(2):
+                starts = walked_tails(ed)[1]
+                removed = rng.sample(sorted(ed.signs), rng.randint(0, len(ed.signs)))
+                loops = ed.free_loops
+                ed.smooth_out(removed)
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+                kinds["smooth_out"] += 1
+                kinds["smooth_out of a start"] += not starts.isdisjoint(removed)
+                kinds["smooth_out closing a loop"] += ed.free_loops > loops
         ed = Editor.from_diagram(d)
+        tails = [4 * c + s for c, s in tuple_label_tails(d)]
         for _ in range(12):
-            assert_faces_match_a_rescan(ed)
+            if tails is not None:
+                kinds["several kinks"] += assert_faces_match_a_rescan(ed, tails) > 1
             roll = rng.random()
             r3 = find_r3_moves(ed)
             reducing = find_reducing_moves(ed)
             if roll < 0.2 and r3:
                 move = r3[rng.randrange(len(r3))]
                 undo = ed.rewire(moves._slide(ed.adj, move.site))
-                assert_faces_match_a_rescan(ed)
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
                 ed.rewire(undo)
                 kinds["R3 undone"] += 1
+                tails = walked_tails(ed)[0]
                 continue
             if roll < 0.4 and r3:
                 move = r3[rng.randrange(len(r3))]
@@ -179,45 +249,81 @@ def test_face_index_matches_a_rescan_after_every_rewrite(rng):
             if move is not None:
                 apply_move(ed, move)
                 kinds[move.kind] += 1
-        assert_faces_match_a_rescan(ed)
+                # Read the indexes after this move or only after later ones.
+                tails = walked_tails(ed)[0] if rng.random() < 0.7 else None
+        assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
         if ed.signs:
             tails = sorted(dart for dart in ed.adj if ed.is_out_dart(dart))
             new = [ed.new_crossing(rng.choice((1, -1))) for _ in range(rng.randint(1, 3))]
             passes = [p for c in new for p in ed.passes(c)]
             rng.shuffle(passes)
             ed.thread(rng.choice(tails), passes)
-            assert_faces_match_a_rescan(ed)
+            assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
             kinds["thread"] += 1
-    assert min(kinds.values()) >= 100 and len(kinds) == 8, kinds
+    assert min(kinds.values()) >= 100 and len(kinds) == 11, kinds
+
+
+def test_integer_darts_map_onto_the_tuple_tracer(rng):
+    # A dart is 4 * crossing + slot.  Through divmod(d, 4), the faces of a
+    # diagram and of its editor, and the editor's tails, must be what the
+    # (crossing, slot) tracer and strand walk give, order included: on the
+    # editing corpus as copied, after each of several random moves, and on
+    # the diagram the editor relabels to.
+    moved = 0
+    for d in editing_corpus(rng, 150):
+        faces = tuple_face_orbits(range(d.n), tuple_partner(d))
+        assert as_pairs(d.faces) == faces
+        ed = Editor.from_diagram(d)
+        assert as_pairs(ed.faces()) == faces
+        assert [divmod(t, 4) for t in ed.tails()] == tuple_label_tails(d)
+        for _ in range(6):
+            reducing = find_reducing_moves(ed)
+            move = (
+                reducing[0] if reducing and rng.random() < 0.5
+                else sample_increasing_move(ed, rng)
+            )
+            if move is None:
+                break
+            apply_move(ed, move)
+            moved += 1
+            pairs = {divmod(a, 4): divmod(b, 4) for a, b in ed.adj.items()}
+            assert as_pairs(ed.faces()) == tuple_face_orbits(sorted(ed.signs), pairs)
+            tails = tuple_strand_walk(ed.signs, pairs)[0]
+            assert [divmod(t, 4) for t in ed.tails()] == tails
+        out = ed.to_diagram()
+        assert as_pairs(out.faces) == tuple_face_orbits(range(out.n), tuple_partner(out))
+    assert moved >= 500
 
 
 def test_passes_follow_the_slot_conventions():
     ed = Editor()
     pos, neg = ed.new_crossing(+1), ed.new_crossing(-1)
-    assert ed.passes(pos) == (((pos, 0), (pos, 2)), ((pos, 1), (pos, 3)))
-    assert ed.passes(neg) == (((neg, 0), (neg, 2)), ((neg, 3), (neg, 1)))
+    p, n = 4 * pos, 4 * neg  # darts are 4 * crossing + slot
+    assert ed.passes(pos) == ((p + 0, p + 2), (p + 1, p + 3))
+    assert ed.passes(neg) == ((n + 0, n + 2), (n + 3, n + 1))
 
 
 def test_thread_lays_passes_in_order():
     d = trefoil()
     ed = Editor.from_diagram(d)
-    tail = (0, 2)
+    tail = 2  # crossing 0, slot 2
     head = ed.adj[tail]
     first, second = ed.new_crossing(+1), ed.new_crossing(-1)
     under, over = ed.passes(first)
     ed.thread(tail, (over, ed.passes(second)[0], under))
-    assert ed.adj[tail] == (first, 1)
-    assert ed.adj[(first, 3)] == (second, 0)
-    assert ed.adj[(second, 2)] == (first, 0)
-    assert ed.adj[(first, 2)] == head
+    f, s = 4 * first, 4 * second
+    assert ed.adj[tail] == f + 1
+    assert ed.adj[f + 3] == s + 0
+    assert ed.adj[s + 2] == f + 0
+    assert ed.adj[f + 2] == head
     # The second crossing's over pass is still unwired.
-    assert (second, 1) not in ed.adj and (second, 3) not in ed.adj
+    assert s + 1 not in ed.adj and s + 3 not in ed.adj
 
 
 def test_thread_through_no_passes_restores_the_edge():
     d = trefoil()
     ed = Editor.from_diagram(d)
-    ed.thread((1, 3), ())
+    ed.thread(4 * 1 + 3, ())
     assert ed.adj == d.dart_partner
     assert pd_to_text(ed.to_diagram()) == pd_to_text(d)
 
@@ -225,7 +331,7 @@ def test_thread_through_no_passes_restores_the_edge():
 def test_thread_refuses_a_wired_dart():
     ed = Editor.from_diagram(trefoil())
     with pytest.raises(InternalError, match="already wired"):
-        ed.thread((0, 2), [ed.passes(1)[0]])
+        ed.thread(2, [ed.passes(1)[0]])
 
 
 def test_smooth_out_single_kink_leaves_free_loop():
