@@ -572,7 +572,13 @@ class Editor:
         wholly inside the removed set, and becomes a free loop.  This is
         the common primitive behind the reducing Reidemeister moves.  The
         tail ranks of a strand walk survive unless a strand started at a
-        removed crossing.
+        removed crossing.  The crossings left must still draw in the plane,
+        which is not checked.  Closed curves cross an even number of times,
+        so an odd count left between two components, or on one strand a
+        crossing interlacing an odd number of others (Gauss), leaves a
+        rotation system that ``validate_pd`` rejects.  Kinks, reducible
+        bigons and the whole interlacement pieces of a knot that
+        ``deconnect_sum`` keeps qualify.
         """
         removed = set(removed)
         rank = self._rank

@@ -479,9 +479,9 @@ def wirtinger(d: PDDiagram) -> WirtingerPresentation:
 
 FINGERPRINT_BUDGET = 2000
 # Widest bracket frontier, in edge ends, on which a fingerprint skips the
-# walk.  Twelve ends have at most 11!! = 10395 matchings, so the bracket
-# cannot pass MAX_FRONTIER_STATES there.  Past it, the invariants of a
-# greedy search candidate can cost several times the walk.
+# walk and the walk reads its span V floor.  Twelve ends have at most 11!!
+# = 10395 matchings, so the bracket is cheap and within MAX_FRONTIER_STATES.
+# Past it, a greedy search candidate's invariants can cost several walks.
 FINGERPRINT_WIDTH = 12
 
 

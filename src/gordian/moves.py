@@ -309,20 +309,29 @@ def simplify_global(
 
     Mostly descends (taking reducing moves when available, triangle slides
     otherwise) but occasionally explores through increasing moves.  The walk
-    ends at the unknot, after ``STALL_MOVES`` moves in a row that do not
-    improve on the best diagram, or after ``budget`` moves, whichever comes
-    first.  Deterministic in ``seed``.  The walk rewrites one editor and
-    relabels only when it records a new best diagram.
+    ends at a diagram of span V crossings, after ``STALL_MOVES`` moves in a
+    row that do not improve on the best diagram, or after ``budget`` moves,
+    whichever comes first.  No diagram of a knot has fewer crossings than
+    span V, the span of its Jones polynomial (Kauffman, Murasugi,
+    Thistlethwaite); it is read off a greedy knot diagram whose bracket
+    frontier is at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise.
+    Deterministic in ``seed``.  The walk rewrites one editor and relabels
+    only when it records a new best diagram.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    from .invariants import FINGERPRINT_WIDTH, _contraction_order, jones
     rng = random.Random(seed)
     best = simplify_greedy(d)
+    floor = 0
+    if best.is_knot and best.n and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
+        v = jones(best)
+        floor = v.max_exp() - v.min_exp()
     ed = Editor.from_diagram(best)
     cap = max(best.n + 8, 14)
     stale = 0
     for _ in range(budget):
-        if best.n == 0 or stale == STALL_MOVES:
+        if best.n <= floor or stale == STALL_MOVES:
             break
         move = None
         reducing = find_reducing_moves(ed)

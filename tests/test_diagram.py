@@ -143,6 +143,24 @@ def test_smooth_out_matches_the_boundary_walk(rng):
     assert looped >= 300  # removals that close strands into free loops
 
 
+def test_smooth_out_keeps_planarity_only_under_its_precondition():
+    # On one strand, two of the trefoil's crossings interlace once (Gauss
+    # word 1 2 1 2); the two rings of T(2,4), after one of their four
+    # crossings goes, meet three times.  Both leave a rotation system that
+    # is not planar.  Keeping one whole interlacement piece of a knot, as
+    # deconnect_sum does, leaves a planar diagram.
+    for d in (trefoil(), braid_closure(BraidWord.from_letters((1,) * 4, 2))):
+        ed = Editor.from_diagram(d)
+        ed.smooth_out({0})
+        assert validate_pd(ed.to_diagram()) != []
+    granny = braid_closure(BraidWord.from_letters((1, 1, 1, -2, -2, -2), 3))
+    for piece in ({0, 1, 2}, {3, 4, 5}):
+        ed = Editor.from_diagram(granny)
+        ed.smooth_out(set(range(6)) - piece)
+        left = ed.to_diagram()
+        assert left.n == 3 and validate_pd(left) == []
+
+
 def assert_faces_match_a_rescan(ed: Editor, tails: list) -> int:
     """Both face indexes against a rescan, the tails against the walk
     ``tails`` (integer darts), and the kinks against the old order rule;

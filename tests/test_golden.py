@@ -17,6 +17,9 @@ bracket frontier wider than 12, so its fingerprint walks: it pins the
 walk's path.  ``data/invariants.txt`` holds ``gordian invariants`` of every
 bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
 ``identify`` example: it pins how each polynomial renders.
+``data/simplify.txt`` holds ``gordian simplify`` of every bundled name, of
+``7_1#~7_1``, of the README base braid and of T(2,19) as a 2-strand braid:
+it pins the walk's result, including where the walk ends.
 """
 
 import contextlib
@@ -56,6 +59,14 @@ def _invariants_commands() -> list[list[str]]:
     names = [*dict.fromkeys(name for name, _ in BUNDLED_CODES), "~7_1", "7_1#~7_1"]
     commands = [["invariants", "--name", name] for name in names]
     return commands + [["identify", "--braid", "BRAID:[-1,-1,-1,-1,-1,-1,-1]"]]
+
+
+def _simplify_commands() -> list[list[str]]:
+    names = [*dict.fromkeys(name for name, _ in BUNDLED_CODES), "7_1#~7_1"]
+    inputs = [("--name", name) for name in names]
+    torus = "BRAID:[" + ",".join(["1"] * 19) + "]"  # T(2,19)
+    inputs += [("--braid", README_BASE), ("--braid", torus)]
+    return [["simplify", *args] for args in inputs]
 
 
 def transcript(capsys, commands: list[list[str]]) -> str:
@@ -108,6 +119,11 @@ def test_convert_to_braid_is_unchanged(capsys):
 def test_invariants_and_identify_are_unchanged(capsys):
     expected = (DATA / "invariants.txt").read_text(encoding="utf-8")
     assert transcript(capsys, _invariants_commands()) == expected
+
+
+def test_simplify_is_unchanged(capsys):
+    expected = (DATA / "simplify.txt").read_text(encoding="utf-8")
+    assert transcript(capsys, _simplify_commands()) == expected
 
 
 def test_search_log_is_unchanged(capsys):

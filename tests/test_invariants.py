@@ -10,7 +10,10 @@ the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
 computed by planar contraction, is checked against the 2**n state sum
 (``state_sum_bracket`` in conftest) and, beyond that sum's reach, against
 the path-following contraction it replaced
-(``reference_contraction_bracket``), peak frontier states included.
+(``reference_contraction_bracket``), peak frontier states included.  The
+span of the Jones polynomial is checked against the crossing count of
+random diagrams, the bound (Kauffman, Murasugi, Thistlethwaite) on which
+the simplification walk ends.
 """
 import os
 import random
@@ -20,13 +23,15 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gordian import invariants
 from gordian.braid import BraidWord, braid_closure
 from gordian.certify import BASE_BRAID
 from gordian.codes import parse_dt, realize_dt
 from gordian.diagram import PDDiagram
-from gordian.errors import InputError, ResourceError
+from gordian.errors import InputError, ResourceError, UnrealizableError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
     FINGERPRINT_BUDGET,
@@ -64,6 +69,7 @@ from tests.conftest import (
     seifert_alexander,
     state_sum_bracket,
 )
+from tests.test_fuzz import dt_codes, knot_words
 
 TREFOIL = BraidWord.from_letters((1, 1, 1), 2)
 FIGURE_EIGHT = BraidWord.from_letters((1, -2, 1, -2), 3)
@@ -292,6 +298,43 @@ def test_jones_of_torus_knots_matches_closed_form(n):
     assert jones(braid_closure(BraidWord.from_letters((1,) * n, 2))) == LaurentPoly(
         expected
     )
+
+
+def _span(d: PDDiagram) -> int:
+    v = jones(d)
+    return v.max_exp() - v.min_exp()
+
+
+def _realized(code) -> PDDiagram | None:
+    try:
+        return realize_dt(code)
+    except UnrealizableError:
+        return None
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.one_of(
+        knot_words().map(braid_closure),
+        dt_codes().map(_realized).filter(lambda d: d is not None),
+    ),
+    st.integers(0, 20),
+    st.integers(0, 10**6),
+)
+def test_jones_span_is_at_most_the_crossing_count(d, steps, seed):
+    # span V <= n on every n-crossing knot diagram, scrambled or not: the
+    # floor at which simplify_global ends its walk.
+    for x in (d, backtrack_randomize(d, steps, seed=seed)):
+        assert _span(x) <= x.n, x.crossings
+
+
+def test_jones_span_equals_the_crossing_count_on_minimal_diagrams():
+    for n in range(3, 20, 2):
+        assert _span(torus_diagram(n)) == n
+    seven_one = simplify_global(realize_dt(parse_dt(dict(BUNDLED_CODES)["7_1"])))
+    assert seven_one.n == _span(seven_one) == 7
+    base = simplify_global(braid_closure(BASE_BRAID), seed=0)
+    assert base.n == _span(base) == 14
 
 
 def test_jones_leaves_numpy_unimported():
@@ -546,3 +589,19 @@ def test_gate_admits_only_diagrams_within_the_state_bound(gate_corpus, monkeypat
     assert any(_contraction_order(g)[1] == FINGERPRINT_WIDTH for g in admitted)
     for g in admitted:
         knot_invariants(g)
+
+
+def test_walk_reads_its_span_floor_only_within_the_gate(gate_corpus, monkeypatch):
+    # The walk computes Jones once, on its greedy diagram, only when that is
+    # a knotted diagram within the gate; a wide one walks with no bracket.
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return jones(d)
+
+    monkeypatch.setattr(invariants, "jones", counting)
+    for d, g, w in gate_corpus:
+        calls.clear()
+        simplify_global(d, budget=50)
+        assert calls == ([g] if g.n and w <= FINGERPRINT_WIDTH else [])

@@ -7,9 +7,14 @@ import pytest
 
 from gordian import moves
 from gordian.braid import BraidWord, braid_closure, vogel_braid
-from gordian.diagram import pd_to_text, validate_pd
+from gordian.certify import BASE_BRAID
+from gordian.codes import parse_dt, realize_dt
+from gordian.diagram import Editor, pd_to_text, validate_pd
 from gordian.errors import InputError
+from gordian.identify import BUNDLED_CODES
 from gordian.invariants import (
+    FINGERPRINT_WIDTH,
+    _contraction_order,
     alexander,
     determinant,
     fingerprint,
@@ -34,6 +39,7 @@ from gordian.moves import (
 from tests.conftest import (
     editing_corpus,
     random_knot_diagram,
+    random_knot_word,
     random_link_diagram,
     reference_backtrack_randomize,
     reference_r3_moves,
@@ -123,19 +129,69 @@ def test_simplify_unknot_to_zero():
     assert s.component_count == 1
 
 
-def test_simplify_stops_at_first_stall(monkeypatch):
-    # No move shrinks the alternating T(2,7) diagram, so the walk ends after
-    # STALL_MOVES non-improving moves instead of spending its budget.
-    calls = []
+def _count_moves(monkeypatch) -> list[int]:
+    """Patch ``moves.apply_move`` to record the crossing count after each
+    move of the greedy pass and the walk."""
+    sizes = []
 
-    def counting(d, move):
-        calls.append(move)
-        return apply_move(d, move)
+    def counting(x, move):
+        y = apply_move(x, move)
+        sizes.append(len(y.signs) if isinstance(y, Editor) else y.n)
+        return y
 
     monkeypatch.setattr(moves, "apply_move", counting)
+    return sizes
+
+
+def test_simplify_stops_at_first_stall(monkeypatch):
+    # 10_139 is non-alternating: span V = 8 on a minimal diagram of 10
+    # crossings, so the floor never ends the walk.  No move shrinks this
+    # diagram, so the walk ends after STALL_MOVES non-improving moves
+    # instead of spending its budget.
+    sizes = _count_moves(monkeypatch)
+    d = realize_dt(parse_dt(dict(BUNDLED_CODES)["10_139"]))
+    v = jones(d)
+    assert (d.n, v.max_exp() - v.min_exp()) == (10, 8)
+    s = simplify_global(d, budget=10_000)
+    assert s.n == 10
+    assert len(sizes) == moves.STALL_MOVES == 600
+
+
+def test_simplify_makes_no_move_on_a_diagram_at_its_span_floor(monkeypatch):
+    # The alternating T(2,7) diagram has span V = 7 = n, so it is minimal
+    # before the walk starts.
+    sizes = _count_moves(monkeypatch)
     s = simplify_global(torus_diagram(7), budget=10_000)
     assert s.n == 7
-    assert len(calls) == moves.STALL_MOVES == 600
+    assert sizes == []
+
+
+def test_simplify_stops_at_the_first_diagram_on_the_span_floor(monkeypatch):
+    # span V(7_1 # mirror 7_1) = 14: the base closure's walk ends at the
+    # move that first reaches 14 crossings.
+    sizes = _count_moves(monkeypatch)
+    s = simplify_global(braid_closure(BASE_BRAID), seed=0)
+    assert s.n == 14
+    assert sizes.index(14) == len(sizes) - 1
+
+
+def test_full_length_walks_match_the_unfloored_reference(rng):
+    # The walk ends at its span V floor; the reference walks on until it
+    # stalls.  A diagram below the floor does not exist, so both return the
+    # same diagram, on every table knot, the base closure and knotted random
+    # closures narrow enough for the floor to be computed.
+    diagrams = [realize_dt(parse_dt(code)) for _, code in BUNDLED_CODES]
+    diagrams.append(braid_closure(BASE_BRAID))
+    while len(diagrams) < len(BUNDLED_CODES) + 11:
+        d = braid_closure(random_knot_word(rng, 5, 24, 14))
+        g = simplify_greedy(d)
+        if g.n and _contraction_order(g)[1] <= FINGERPRINT_WIDTH:
+            diagrams.append(d)
+    for d in diagrams:
+        seed = rng.randrange(10**6)
+        assert pd_to_text(simplify_global(d, seed=seed)) == pd_to_text(
+            reference_simplify_global(d, budget=10_000, seed=seed)
+        )
 
 
 def test_simplify_trefoil_reaches_minimum(rng):
