@@ -255,13 +255,10 @@ def validate_pd(d: PDDiagram) -> list[str]:
                 nb = partner[4 * cur + s] >> 2
                 if nb not in comp_of:
                     stack.append(nb)
+    # A face orbit steps along edges and around crossings: one piece each.
     face_count: dict[int, int] = {}
     for face in d.faces:
-        labels = {comp_of[x >> 2] for x in face}
-        if len(labels) != 1:
-            problems.append("face spans multiple connected pieces")
-            continue
-        lab = labels.pop()
+        lab = comp_of[face[0] >> 2]
         face_count[lab] = face_count.get(lab, 0) + 1
     sizes: dict[int, int] = {}
     for ci, lab in comp_of.items():
@@ -366,9 +363,7 @@ class Editor:
     most three steps of the orbit from each recorded dart.  The index of
     all faces is built on the first read of them all (``faces``,
     ``face_of``, ``retrace_faces``); later reads trace again only the faces
-    through darts recorded since.  The tails' places in label order
-    (``tail_rank``) survive ``smooth_out``, which keeps the order of the
-    tails left, unless it deletes the crossing a strand's walk started at.
+    through darts recorded since.
     """
 
     def __init__(self) -> None:
@@ -376,11 +371,8 @@ class Editor:
         self.adj: dict[Dart, Dart] = {}
         self.free_loops = 0
         self._next = 0
-        # Tail ranks, and the crossings where the strand walk that gave
-        # them started each strand (None when the ranks are the copied
-        # diagram's labels, or when there are none).
+        # Tail ranks (see tail_rank), None after a rewrite until read.
         self._rank: dict[Dart, int] | None = None
-        self._starts: set[int] | None = None
         # The full face index, built on the first read: key -> face, dart
         # -> key, and the darts changed since its last update.
         self._faces: dict[Dart, tuple[Dart, ...]] | None = None
@@ -411,13 +403,13 @@ class Editor:
         cid = self._next
         self._next += 1
         self.signs[cid] = sign
-        self._rank = self._starts = None
+        self._rank = None
         return cid
 
     def _touch(self, darts: Iterable[Dart]) -> None:
         self._touched.update(darts)
         self._small_touched.update(darts)
-        self._rank = self._starts = None
+        self._rank = None
 
     def connect(self, a: Dart, b: Dart) -> None:
         if a in self.adj or b in self.adj:
@@ -526,29 +518,28 @@ class Editor:
         ``find_reducing_moves``, and the end of the chain of Seifert circles
         that Vogel's braid reader starts from."""
         if self._rank is None:
-            self._rank, self._starts = self._walk()
+            self._rank = self._walk()
         return self._rank
 
     def tails(self) -> list[Dart]:
         """Edge tails in label order (see ``tail_rank``)."""
         return list(self.tail_rank())
 
-    def _walk(self) -> tuple[dict[Dart, int], set[int]]:
-        # Each strand from the lowest unvisited out slot of the lowest id;
-        # returns the tail ranks and the crossings the strands start from.
+    def _walk(self) -> dict[Dart, int]:
+        # Each strand from the lowest unranked out slot of the lowest id,
+        # until all 2n tails are ranked.
         adj, signs = self.adj, self.signs
         rank: dict[Dart, int] = {}
-        starts: set[int] = set()
+        total = 2 * len(signs)
         for cid in sorted(signs):
             for s in out_slots(signs[cid]):
                 d = 4 * cid + s
-                if d in rank:
-                    continue
-                starts.add(cid)
                 while d not in rank:
                     rank[d] = len(rank)
                     d = adj[d] ^ 2
-        return rank, starts
+                if len(rank) == total:
+                    return rank
+        return rank
 
     def passes(self, c: int) -> tuple[tuple[Dart, Dart], ...]:
         """The under pass and the over pass of crossing ``c``."""
@@ -571,21 +562,16 @@ class Editor:
         A pass whose ends are wired to each other closed a strand lying
         wholly inside the removed set, and becomes a free loop.  This is
         the common primitive behind the reducing Reidemeister moves.  The
-        tail ranks of a strand walk survive unless a strand started at a
-        removed crossing.  The crossings left must still draw in the plane,
-        which is not checked.  Closed curves cross an even number of times,
-        so an odd count left between two components, or on one strand a
-        crossing interlacing an odd number of others (Gauss), leaves a
-        rotation system that ``validate_pd`` rejects.  Kinks, reducible
-        bigons and the whole interlacement pieces of a knot that
-        ``deconnect_sum`` keeps qualify.
+        crossings left must still draw in the plane, which is not checked.
+        Closed curves cross an even number of times, so an odd count left
+        between two components, or on one strand a crossing interlacing an
+        odd number of others (Gauss), leaves a rotation system that
+        ``validate_pd`` rejects.  Kinks, reducible bigons and the whole
+        interlacement pieces of a knot that ``deconnect_sum`` keeps qualify.
         """
-        removed = set(removed)
-        rank = self._rank
-        if self._starts is None or not self._starts.isdisjoint(removed):
-            rank = self._rank = self._starts = None
+        self._rank = None
         adj = self.adj
-        for c in removed:
+        for c in set(removed):
             for a, b in self.passes(c):
                 p = adj.pop(a)
                 q = adj.pop(b)
@@ -596,14 +582,11 @@ class Editor:
                     adj[q] = p
                 self._touched.update((a, b, p, q))
                 self._small_touched.update((a, b, p, q))
-                if rank is not None:
-                    rank.pop(b)
             del self.signs[c]
 
     def to_diagram(self) -> PDDiagram:
-        rank = self._rank if self._starts is not None else self._walk()[0]
         label: dict[Dart, int] = {}
-        for k, tail in enumerate(rank, 1):
+        for k, tail in enumerate(self._walk(), 1):
             label[tail] = label[self.adj[tail]] = k
         crossings = tuple(
             Crossing(tuple(label[4 * cid + s] for s in range(4)), self.signs[cid])

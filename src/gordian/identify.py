@@ -78,13 +78,15 @@ def _admit(table: list[KnotTableEntry], entry: KnotTableEntry) -> None:
 
 
 def build_table(entries: list[tuple[str, DTCode]]) -> list[KnotTableEntry]:
-    """Fingerprint each code; reject collisions and inconsistent duplicates."""
+    """Fingerprint each code; reject unrealizable codes, collisions and
+    inconsistent duplicates.  Errors while fingerprinting propagate."""
     table: list[KnotTableEntry] = []
     for name, code in entries:
         try:
-            fp = fingerprint(realize_dt(code))
-        except Exception as exc:
-            raise InputError(f"table entry {name}: {exc}") from exc
+            d = realize_dt(code)
+        except (InputError, UnrealizableError) as exc:
+            raise InputError(f"table entry {name}: {exc}") from None
+        fp = fingerprint(d)
         _admit(table, KnotTableEntry(name, code, fp, fp.mirrored()))
     return table
 

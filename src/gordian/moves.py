@@ -314,9 +314,9 @@ def simplify_global(
     whichever comes first.  No diagram of a knot has fewer crossings than
     span V, the span of its Jones polynomial (Kauffman, Murasugi,
     Thistlethwaite); it is read off a greedy knot diagram whose bracket
-    frontier is at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise.
-    Deterministic in ``seed``.  The walk rewrites one editor and relabels
-    only when it records a new best diagram.
+    frontier is at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise
+    or at budget 0.  Deterministic in ``seed``.  The walk rewrites one
+    editor and relabels only when it records a new best diagram.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
@@ -324,7 +324,7 @@ def simplify_global(
     rng = random.Random(seed)
     best = simplify_greedy(d)
     floor = 0
-    if best.is_knot and best.n and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
+    if budget and best.is_knot and best.n and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
         v = jones(best)
         floor = v.max_exp() - v.min_exp()
     ed = Editor.from_diagram(best)

@@ -214,15 +214,16 @@ def walked_tails(ed: Editor) -> tuple[list, set]:
 
 def test_face_index_matches_a_rescan_after_every_rewrite(rng):
     # The editor keeps its small faces (one to three darts) by a bounded
-    # orbit check from each touched dart, its full face index by tracing
-    # again only the faces through touched darts, and its tail ranks across
-    # smooth_out.  After every kind of rewrite, read at once or after a few
-    # more, both indexes must equal a whole-diagram rescan and several kinks
-    # must come in the order of their tails in a fresh strand walk: moves
-    # through apply_move, a triangle slide tried in place and undone (as
-    # greedy does), smooth_out of arbitrary crossing sets (as deconnect_sum
-    # does), some deleting a crossing a strand starts from and some closing
-    # free loops, and thread through the passes of new crossings.
+    # orbit check from each touched dart, and its full face index by
+    # tracing again only the faces through touched darts; its tails are
+    # walked afresh after every rewrite.  After every kind of rewrite, read
+    # at once or after a few more, both indexes must equal a whole-diagram
+    # rescan and several kinks must come in the order of their tails in a
+    # fresh strand walk: moves through apply_move, a triangle slide tried in
+    # place and undone (as greedy does), smooth_out of arbitrary crossing
+    # sets (as deconnect_sum does), some deleting a crossing a strand starts
+    # from and some closing free loops, and thread through the passes of new
+    # crossings.
     kinds = Counter()
     for d in editing_corpus(rng, 150):
         for _ in range(3):

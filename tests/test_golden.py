@@ -12,9 +12,13 @@ is already coherent, so Vogel's reader sees it with no push made.
 ``data/search_seed7.txt`` is the log of ``gordian search`` on the README
 base braid (seed 7, 10 trials, ``--k 2``); its trials scramble with every
 move kind and braid through Vogel's pushes.  ``data/search_seed13.txt`` is
-the same search at seed 13, whose trial 0 has a greedy diagram with a
-bracket frontier wider than 12, so its fingerprint walks: it pins the
-walk's path.  ``data/invariants.txt`` holds ``gordian invariants`` of every
+the same search at seed 13, whose trials 0 and 6 have greedy diagrams (87
+and 53 crossings) with bracket frontiers wider than 12, so their
+fingerprints walk: it pins that both take the walk and finish without a
+``skip``.  Every fingerprint field is a knot invariant, so it does not pin
+the walk's path; ``data/simplify.txt`` and
+``test_full_length_walks_match_the_unfloored_reference`` do.
+``data/invariants.txt`` holds ``gordian invariants`` of every
 bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
 ``identify`` example: it pins how each polynomial renders.
 ``data/simplify.txt`` holds ``gordian simplify`` of every bundled name, of

@@ -1,10 +1,12 @@
 """Reference table construction, identification, and integrity checks."""
 
+import sys
+
 import pytest
 
 from gordian.braid import BraidWord, braid_closure
 from gordian.codes import parse_dt, realize_dt
-from gordian.errors import InputError
+from gordian.errors import InputError, InternalError, ResourceError
 from gordian.identify import (
     BUNDLED_CODES,
     KnotTableEntry,
@@ -76,6 +78,28 @@ def test_build_table_rejects_inconsistent_duplicate_names(
     ]
     with pytest.raises(InputError, match=f"^{prefix}duplicate name knot"):
         make_table(entries, tmp_path)
+
+
+@TABLE_PATHS
+@pytest.mark.parametrize("error", [InternalError, ResourceError])
+def test_table_fingerprint_faults_propagate(
+    make_table, prefix, tmp_path, monkeypatch, error
+):
+    # A limit or a fault met while fingerprinting an entry is not bad
+    # input: both table paths let it through unchanged.
+    def failing(d):
+        raise error("fingerprint failed")
+
+    # The package exports a function named identify, so reach the module
+    # through sys.modules.
+    monkeypatch.setattr(sys.modules["gordian.identify"], "fingerprint", failing)
+    with pytest.raises(error, match="^fingerprint failed$"):
+        make_table([("trefoil", parse_dt("[4, 6, 2]"))], tmp_path)
+
+
+def test_build_table_names_an_unrealizable_entry():
+    with pytest.raises(InputError, match=r"^table entry bad: "):
+        build_table([("bad", parse_dt("[4, 6, 8, 10, 2]"))])
 
 
 def test_identify_reports_chirality():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gordian import moves
+from gordian import invariants, moves
 from gordian.braid import BraidWord, braid_closure, vogel_braid
 from gordian.certify import BASE_BRAID
 from gordian.codes import parse_dt, realize_dt
@@ -164,6 +164,23 @@ def test_simplify_makes_no_move_on_a_diagram_at_its_span_floor(monkeypatch):
     s = simplify_global(torus_diagram(7), budget=10_000)
     assert s.n == 7
     assert sizes == []
+
+
+def test_simplify_skips_the_span_floor_at_budget_zero(monkeypatch):
+    # With no move to make, a floor could end nothing: T(2,7) is narrow
+    # enough for one, but comes back at budget 0 without a bracket.
+    brackets = []
+
+    def counting(d):
+        brackets.append(d.n)
+        return jones(d)
+
+    monkeypatch.setattr(invariants, "jones", counting)
+    d = torus_diagram(7)
+    assert pd_to_text(simplify_global(d, budget=0)) == pd_to_text(simplify_greedy(d))
+    assert brackets == []
+    simplify_global(d, budget=1)
+    assert brackets == [7]
 
 
 def test_simplify_stops_at_the_first_diagram_on_the_span_floor(monkeypatch):
