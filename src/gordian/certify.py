@@ -69,11 +69,19 @@ def parse_presentation(text: str) -> Presentation | None:
     return None
 
 
+def _flipped(p: Presentation, flips) -> Presentation:
+    """``p`` with the crossings at ``flips`` changed."""
+    if isinstance(p, DTCode):
+        return flip_entries(p, flips)
+    return flip_letters(p, flips)
+
+
 def realize(p: Presentation, flips=()) -> PDDiagram:
     """The diagram of ``p`` after changing the crossings at ``flips``."""
-    if isinstance(p, DTCode):
-        return realize_dt(flip_entries(p, flips))
-    return braid_closure(flip_letters(p, flips))
+    q = _flipped(p, flips)
+    if isinstance(q, DTCode):
+        return realize_dt(q)
+    return braid_closure(q)
 
 
 def _render_presentation(p: Presentation) -> str:
@@ -125,6 +133,17 @@ def _check_claim(
     return False
 
 
+def _fingerprint(
+    known: dict[Presentation, Fingerprint], p: Presentation
+) -> Fingerprint:
+    """The fingerprint of ``p``'s diagram: from ``known`` when it holds
+    ``p``, else computed and added to it."""
+    fp = known.get(p)
+    if fp is None:
+        fp = known[p] = fingerprint(realize(p))
+    return fp
+
+
 def check_certificate(
     cert: UnknottingCertificate,
     table: list[KnotTableEntry] | None = None,
@@ -137,9 +156,19 @@ def check_certificate(
     stop at a reference knot, such as a torus-knot cascade ending at 7_1).
     ``log``, when given, receives a ``== step N ==`` header before each
     step is checked and the step's report lines as soon as it is done.
+
+    Each presentation, before or after its changes, is fingerprinted at
+    most once per check.  One that is a table entry's DT code is not
+    fingerprinted at all: the entry's fingerprint is used.  That is the
+    same value, because ``build_table`` computes it as
+    ``fingerprint(realize_dt(code))`` and ``load_table`` recomputes it so
+    and rejects a file that disagrees.
     """
     if table is None:
         table = default_table()
+    known: dict[Presentation, Fingerprint] = {
+        entry.dt: entry.fingerprint for entry in table
+    }
     reports: list[StepReport] = []
     prev_after: Fingerprint | None = None
     all_passed = True
@@ -149,7 +178,7 @@ def check_certificate(
         lines = [f"step {i + 1}: {_render_presentation(step.presentation)}"]
         ok = True
         if prev_after is not None or step.claimed_before is not None:
-            before = fingerprint(realize(step.presentation))
+            before = _fingerprint(known, step.presentation)
         if prev_after is not None:
             ev = same_knot_evidence(prev_after, before)
             if ev.passed:
@@ -166,17 +195,17 @@ def check_certificate(
             ok &= _check_claim(before, step.claimed_before, table, "before", lines)
         changed = sorted(step.change_indices)
         lines.append(f"  change crossings {changed} ({len(changed)} changes)")
-        result = realize(step.presentation, step.change_indices)
+        flipped = _flipped(step.presentation, step.change_indices)
         last = i == len(cert.steps) - 1
         must_unknot = last and step.claimed_after in (None, "unknot")
         if must_unknot:
             # Walk here, not inside fingerprint: the crossing count of the
             # walked diagram is the verdict, and its invariants need no
             # second walk.
-            result = simplify_global(result, budget=FINGERPRINT_BUDGET)
+            result = simplify_global(realize(flipped), budget=FINGERPRINT_BUDGET)
             after = knot_invariants(result)
         else:
-            after = fingerprint(result)
+            after = _fingerprint(known, flipped)
         if step.claimed_after is not None:
             ok &= _check_claim(after, step.claimed_after, table, "after", lines)
         if must_unknot:

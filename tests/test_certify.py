@@ -1,5 +1,7 @@
 """Certificate checking: the bundled chains and deliberate tampering."""
 
+from dataclasses import replace
+
 import pytest
 
 from gordian import certify
@@ -44,19 +46,57 @@ def test_paper_certificate_passes(table, fingerprint_calls):
     assert report.passed
     assert report.bound == 5
     assert len(report.steps) == 4
-    # Three results plus the three presentations compared with the previous
-    # step's result; the base closure itself is never fingerprinted, and the
-    # final result's invariants are taken on the diagram the step walked.
-    assert len(fingerprint_calls) == 6
+    # Only step 1's result and step 3's presentation are fingerprinted.  Four
+    # diagrams are table codes, whose fingerprints the table holds: step 2's
+    # presentation (K14a18636), step 2's result (the first K15n81556 code),
+    # and step 3's result, which is step 4's presentation (K12n412).  The
+    # base closure itself is never fingerprinted, and the final result's
+    # invariants are taken on the diagram the step walked.
+    assert len(fingerprint_calls) == 2
     text = report.render()
     assert "PASS, total crossing changes = 5" in text
     assert "reduces to the 0-crossing unknot diagram" in text
 
 
-def test_adjacency_certificate_passes(table):
+def test_adjacency_certificate_passes(table, fingerprint_calls):
     report = check_certificate(adjacency_certificate_10_139(), table)
     assert report.passed
     assert report.bound == 1
+    # The 10_139 code and its flip, the 7_1 code, are both table codes.
+    assert fingerprint_calls == []
+
+
+def test_a_missing_table_entry_is_fingerprinted_and_still_fails(
+    table, fingerprint_calls
+):
+    reduced = [entry for entry in table if entry.name != "K12n412"]
+    report = check_certificate(paper_certificate(), reduced)
+    assert not report.passed
+    assert report.steps[-1].index == 2
+    assert report.steps[-1].lines[-1] == (
+        "  after: FAIL, claimed K12n412 but found no table match"
+    )
+    # Step 3's result is no longer a table code, so it is fingerprinted too;
+    # the check stops at the failed step.
+    assert len(fingerprint_calls) == 3
+
+
+def test_a_computed_fingerprint_serves_a_later_step(table, fingerprint_calls):
+    # Without K12n412 in the table and without the claims naming it, step 3's
+    # result is computed once and step 4 presents the same code.
+    reduced = [entry for entry in table if entry.name != "K12n412"]
+    steps = paper_certificate().steps
+    cert = UnknottingCertificate(
+        (
+            *steps[:2],
+            replace(steps[2], claimed_after=None),
+            replace(steps[3], claimed_before=None),
+        )
+    )
+    report = check_certificate(cert, reduced)
+    assert report.passed, report.render()
+    assert "continues step 3: PASS" in report.render()
+    assert len(fingerprint_calls) == 3
 
 
 def test_torus_cascades(table, fingerprint_calls):
@@ -87,7 +127,7 @@ def test_empty_certificate_is_vacuously_true(table):
     assert report.bound == 0
 
 
-def test_wrong_flip_index_fails_with_named_step(table):
+def test_wrong_flip_index_fails_with_named_step(table, fingerprint_calls):
     # Change crossing 1 instead of 0 in the second step: the result is no
     # longer K15n81556 and the chain must break loudly.
     good = paper_certificate()
@@ -105,6 +145,9 @@ def test_wrong_flip_index_fails_with_named_step(table):
     text = report.render()
     assert "FAIL" in text
     assert "step 2" in text
+    assert report.steps[-1].index == 1
+    # The changed code is no table code, so it is fingerprinted.
+    assert len(fingerprint_calls) == 2
 
 
 def test_wrong_claim_fails(table):

@@ -171,6 +171,17 @@ def test_verify_paper_transcripts_are_identical(capsys):
     assert first == second
 
 
+def test_verify_paper_with_a_saved_table_matches_the_recording(capsys, tmp_path):
+    # The certificate takes table codes' fingerprints from the table: here
+    # the ones load_table recomputed from the file.
+    path = tmp_path / "table.tsv"
+    save_table(default_table(), str(path))
+    code, out, _ = run(capsys, "verify-paper", "--table", str(path))
+    assert code == 0
+    recorded = Path(__file__).resolve().parent / "data" / "verify_paper.txt"
+    assert out == recorded.read_text(encoding="utf-8")
+
+
 def test_corrupted_table_is_rejected(capsys, tmp_path):
     path = tmp_path / "table.tsv"
     save_table(default_table(), str(path))

@@ -90,17 +90,18 @@ def test_verify_paper_transcript_is_unchanged(capsys):
 
 def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
     # Whatever times the transcript by its lines must see each step's
-    # header before that step's diagrams are fingerprinted, and every
-    # earlier step's lines already printed.
+    # header before that step gets its first fingerprint, and every earlier
+    # step's lines already printed.  Every step's fingerprints, computed or
+    # taken from the table, come through one helper.
     out = io.StringIO()
     printed_at_call = []
 
-    def spy(d):
+    def spy(known, p):
         printed_at_call.append(out.getvalue())
-        return fingerprint(d)
+        return lookup(known, p)
 
-    fingerprint = certify.fingerprint
-    monkeypatch.setattr(certify, "fingerprint", spy)
+    lookup = certify._fingerprint
+    monkeypatch.setattr(certify, "_fingerprint", spy)
     with contextlib.redirect_stdout(out):
         assert main(["verify-paper"]) == 0
     expected = (DATA / "verify_paper.txt").read_text(encoding="utf-8")
