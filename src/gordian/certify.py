@@ -158,16 +158,17 @@ def check_certificate(
     step is checked and the step's report lines as soon as it is done.
 
     Each presentation, before or after its changes, is fingerprinted at
-    most once per check.  One that is a table entry's DT code is not
-    fingerprinted at all: the entry's fingerprint is used.  That is the
-    same value, because ``build_table`` computes it as
-    ``fingerprint(realize_dt(code))`` and ``load_table`` recomputes it so
-    and rejects a file that disagrees.
+    most once per check.  One that is a code of a table entry, its own or
+    an alias, is not fingerprinted at all: the entry's fingerprint is
+    used.  That is the same value, because ``build_table`` computes
+    ``fingerprint(realize_dt(code))`` for every code and keeps a code as
+    an alias only when that equals the entry's fingerprint, and
+    ``load_table`` recomputes it so and rejects a file that disagrees.
     """
     if table is None:
         table = default_table()
     known: dict[Presentation, Fingerprint] = {
-        entry.dt: entry.fingerprint for entry in table
+        code: entry.fingerprint for entry in table for code in entry.codes()
     }
     reports: list[StepReport] = []
     prev_after: Fingerprint | None = None

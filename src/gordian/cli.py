@@ -32,6 +32,10 @@ from .search import SearchConfig, replay_line, run_pipeline
 # ---------------------------------------------------------------------------
 
 
+def _table_names(table: list[KnotTableEntry]) -> str:
+    return ", ".join(e.name for e in table)
+
+
 def _knot_by_name(token: str, table: list[KnotTableEntry]) -> PDDiagram:
     token = token.strip()
     mirrored = False
@@ -40,8 +44,9 @@ def _knot_by_name(token: str, table: list[KnotTableEntry]) -> PDDiagram:
         token = token[1:].strip()
     entry = next((e for e in table if e.name == token), None)
     if entry is None:
-        known = ", ".join(e.name for e in table)
-        raise InputError(f"unknown knot name {token!r} (table has: {known})")
+        raise InputError(
+            f"unknown knot name {token!r} (table has: {_table_names(table)})"
+        )
     d = realize_dt(entry.dt)
     return mirror(d) if mirrored else d
 
@@ -176,7 +181,8 @@ def _merge_search_config(args) -> SearchConfig:
         elif key == "seed":
             raise InputError("search needs an explicit seed (--seed or seed= in config)")
     if "targets" in given:
-        given["targets"] = tuple(t for t in given["targets"].split(",") if t)
+        names = (t.strip() for t in given["targets"].split(","))
+        given["targets"] = tuple(t for t in names if t)
     return SearchConfig(**given)
 
 
@@ -189,6 +195,13 @@ def cmd_search(args) -> int:
         print("replay: " + ("PASS" if ok else "FAIL"))
         return 0 if ok else 1
     cfg = _merge_search_config(args)
+    names = {e.name for e in table} | {"base"}
+    for target in cfg.targets:
+        if target not in names:
+            raise InputError(
+                f"unknown target {target!r} (table has: {_table_names(table)}; "
+                "base also counts)"
+            )
     hits = run_pipeline(base, cfg, table, log=print)
     print(f"hits: {len(hits)} of {cfg.trials} trials")
     return 0
@@ -270,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, dest="k_changes", metavar="K", help="crossing changes per trial"
     )
     p.add_argument("--n-backtrack", type=int)
-    p.add_argument("--targets", help="comma-separated table names that count as hits")
+    p.add_argument(
+        "--targets", help="comma-separated table names (or base) that count as hits"
+    )
     p.add_argument("--config", help="flat key=value file with search settings")
     p.add_argument("--table", help="path to a knot table file")
     p.add_argument("--replay", help="re-verify one search log line")

@@ -7,7 +7,7 @@ collision, so every positive report is labelled "fingerprint evidence".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .codes import DTCode, parse_dt, realize_dt, render_dt
 from .diagram import PDDiagram
@@ -17,7 +17,8 @@ from .invariants import Fingerprint, fingerprint
 # The reference codes shipped with the package: the unknot, the torus knot
 # 7_1 (as a flipped 10_139 code), and the knots appearing in the bundled
 # unknotting certificates.  K15n81556 deliberately appears twice, with two
-# different diagrams that must collapse to one fingerprint.
+# different diagrams that must collapse to one fingerprint; the second code
+# is kept as an alias of the first entry, since the certificate presents it.
 BUNDLED_CODES: tuple[tuple[str, str], ...] = (
     ("unknot", "DT:[]"),
     ("7_1", "DT:[12, 14, -10, -20, 16, 18, 2, -8, 4, -6]"),
@@ -43,12 +44,21 @@ BUNDLED_CODES: tuple[tuple[str, str], ...] = (
 
 @dataclass(frozen=True)
 class KnotTableEntry:
-    """A named reference knot with both chirality fingerprints."""
+    """A named reference knot with both chirality fingerprints.
+
+    ``aliases`` are further codes of the knot whose diagrams have exactly
+    ``fingerprint``, not only its mirror.
+    """
 
     name: str
     dt: DTCode
     fingerprint: Fingerprint
     fingerprint_mirror: Fingerprint
+    aliases: tuple[DTCode, ...] = ()
+
+    def codes(self) -> tuple[DTCode, ...]:
+        """Every code of the entry, its own first."""
+        return (self.dt, *self.aliases)
 
     def pair(self) -> frozenset[Fingerprint]:
         return frozenset((self.fingerprint, self.fingerprint_mirror))
@@ -57,17 +67,22 @@ class KnotTableEntry:
 def _admit(table: list[KnotTableEntry], entry: KnotTableEntry) -> None:
     """Add ``entry`` to ``table`` under the rules every table obeys.
 
-    Repeated names must agree, and then collapse to the first entry.  Two
-    different names with overlapping fingerprint pairs would make every
-    identification ambiguous, so that is a hard failure rather than a
-    warning.
+    Repeated names must agree, and then collapse to the first entry.  A
+    repeated code with exactly the first entry's fingerprint is kept as
+    one of its aliases; one with only the mirror of it is dropped, so that
+    no code stands for the wrong chirality.  Two different names with
+    overlapping fingerprint pairs would make every identification
+    ambiguous, so that is a hard failure rather than a warning.
     """
-    existing = next((e for e in table if e.name == entry.name), None)
-    if existing is not None:
+    for i, existing in enumerate(table):
+        if existing.name != entry.name:
+            continue
         if existing.pair() != entry.pair():
             raise InputError(
                 f"duplicate name {entry.name} with different fingerprints"
             )
+        if existing.fingerprint == entry.fingerprint:
+            table[i] = replace(existing, aliases=existing.aliases + (entry.dt,))
         return
     for other in table:
         if entry.pair() & other.pair():
@@ -158,13 +173,14 @@ def same_knot_evidence(
 
 
 def save_table(table: list[KnotTableEntry], path: str) -> None:
-    """Write the tab-separated table file."""
+    """Write the tab-separated table file: one line per code, an entry's
+    own code first and then its aliases, each with the entry's
+    fingerprints."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in table:
-            fh.write(
-                f"{e.name}\t{render_dt(e.dt)}\t"
-                f"{e.fingerprint.render()}\t{e.fingerprint_mirror.render()}\n"
-            )
+            fps = f"{e.fingerprint.render()}\t{e.fingerprint_mirror.render()}"
+            for code in e.codes():
+                fh.write(f"{e.name}\t{render_dt(code)}\t{fps}\n")
 
 
 def load_table(path: str) -> list[KnotTableEntry]:
@@ -172,7 +188,8 @@ def load_table(path: str) -> list[KnotTableEntry]:
 
     Fingerprints in the file are never trusted: each is recomputed from
     the stored DT code, and any mismatch raises an integrity error.  The
-    entries are then admitted under the same rules as ``build_table``.
+    lines are then admitted under the same rules as ``build_table``, so an
+    alias line becomes an alias again.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -46,13 +46,14 @@ def test_paper_certificate_passes(table, fingerprint_calls):
     assert report.passed
     assert report.bound == 5
     assert len(report.steps) == 4
-    # Only step 1's result and step 3's presentation are fingerprinted.  Four
-    # diagrams are table codes, whose fingerprints the table holds: step 2's
-    # presentation (K14a18636), step 2's result (the first K15n81556 code),
-    # and step 3's result, which is step 4's presentation (K12n412).  The
-    # base closure itself is never fingerprinted, and the final result's
-    # invariants are taken on the diagram the step walked.
-    assert len(fingerprint_calls) == 2
+    # Only step 1's result is fingerprinted.  Five diagrams are table codes,
+    # whose fingerprints the table holds: step 2's presentation (K14a18636),
+    # step 2's result (the first K15n81556 code), step 3's presentation (the
+    # second K15n81556 code, an alias of that entry), and step 3's result,
+    # which is step 4's presentation (K12n412).  The base closure itself is
+    # never fingerprinted, and the final result's invariants are taken on
+    # the diagram the step walked.
+    assert len(fingerprint_calls) == 1
     text = report.render()
     assert "PASS, total crossing changes = 5" in text
     assert "reduces to the 0-crossing unknot diagram" in text
@@ -76,14 +77,16 @@ def test_a_missing_table_entry_is_fingerprinted_and_still_fails(
     assert report.steps[-1].lines[-1] == (
         "  after: FAIL, claimed K12n412 but found no table match"
     )
-    # Step 3's result is no longer a table code, so it is fingerprinted too;
-    # the check stops at the failed step.
-    assert len(fingerprint_calls) == 3
+    # Step 3's result is no longer a table code, so it is fingerprinted too,
+    # after step 1's result; the check stops at the failed step.
+    assert len(fingerprint_calls) == 2
 
 
 def test_a_computed_fingerprint_serves_a_later_step(table, fingerprint_calls):
     # Without K12n412 in the table and without the claims naming it, step 3's
-    # result is computed once and step 4 presents the same code.
+    # result is computed once and step 4 presents the same code: two calls,
+    # step 1's result and step 3's, where fingerprinting step 4's
+    # presentation again would make three.
     reduced = [entry for entry in table if entry.name != "K12n412"]
     steps = paper_certificate().steps
     cert = UnknottingCertificate(
@@ -96,7 +99,7 @@ def test_a_computed_fingerprint_serves_a_later_step(table, fingerprint_calls):
     report = check_certificate(cert, reduced)
     assert report.passed, report.render()
     assert "continues step 3: PASS" in report.render()
-    assert len(fingerprint_calls) == 3
+    assert len(fingerprint_calls) == 2
 
 
 def test_torus_cascades(table, fingerprint_calls):

@@ -182,6 +182,24 @@ def test_verify_paper_with_a_saved_table_matches_the_recording(capsys, tmp_path)
     assert out == recorded.read_text(encoding="utf-8")
 
 
+def test_verify_paper_with_a_table_saved_before_aliases(capsys, tmp_path):
+    # A table file written before repeated codes were kept as aliases has
+    # one line per name.  It still loads; the second K15n81556 code is then
+    # fingerprinted by the certificate, and the transcript is the same.
+    path = tmp_path / "table.tsv"
+    save_table(default_table(), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    firsts = {}
+    for line in lines:
+        firsts.setdefault(line.split("\t")[0], line)
+    assert len(firsts) == len(lines) - 1
+    path.write_text("".join(firsts.values()))
+    code, out, _ = run(capsys, "verify-paper", "--table", str(path))
+    assert code == 0
+    recorded = Path(__file__).resolve().parent / "data" / "verify_paper.txt"
+    assert out == recorded.read_text(encoding="utf-8")
+
+
 def test_corrupted_table_is_rejected(capsys, tmp_path):
     path = tmp_path / "table.tsv"
     save_table(default_table(), str(path))
@@ -368,6 +386,27 @@ def test_search_targets_from_flag_and_config(capsys, tmp_path):
     cfg.write_text("targets=,7_1,\n")
     _, out, _ = run(capsys, *argv, "--config", str(cfg))
     assert out.splitlines()[-1] == "hits: 2 of 2 trials"
+
+
+def test_search_targets_are_stripped_and_must_be_known(capsys, tmp_path):
+    argv = ["search", "--seed", "1", "--trials", "2", "--k", "0"]
+    cfg = tmp_path / "search.cfg"
+    for base, given in [("7_1", "K12n412, 7_1"), ("BRAID:[1, 1, 1]", "7_1 , base")]:
+        _, out, _ = run(capsys, *argv, "--base", base, "--targets", given)
+        assert out.splitlines()[-1] == "hits: 2 of 2 trials"
+        cfg.write_text(f"targets={given}\n")
+        _, out, _ = run(capsys, *argv, "--base", base, "--config", str(cfg))
+        assert out.splitlines()[-1] == "hits: 2 of 2 trials"
+    argv += ["--base", "7_1"]
+    # A name that no result can carry is bad input, not a search with no hits.
+    names = ", ".join(e.name for e in default_table())
+    expected = (
+        f"error: unknown target 'nope' (table has: {names}; base also counts)\n"
+    )
+    for given in ("nope", "7_1, nope"):
+        assert run(capsys, *argv, "--targets", given) == (2, "", expected)
+        cfg.write_text(f"targets={given}\n")
+        assert run(capsys, *argv, "--config", str(cfg)) == (2, "", expected)
 
 
 def test_search_config_file_rejects_unknown_keys(capsys, tmp_path):

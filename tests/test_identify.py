@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from gordian.braid import BraidWord, braid_closure
+from gordian.certify import CertificateStep, UnknottingCertificate, check_certificate
 from gordian.codes import parse_dt, realize_dt
 from gordian.errors import InputError, InternalError, ResourceError
 from gordian.identify import (
@@ -31,8 +32,12 @@ def test_default_table_names_and_duplicate_collapse():
         "K15n81556",
         "K12n412",
     ]
-    # Two different diagrams are bundled for K15n81556; they must agree.
-    assert len([n for n, _ in BUNDLED_CODES if n == "K15n81556"]) == 2
+    # Two different diagrams are bundled for K15n81556; they must agree, and
+    # the second code is kept as an alias of the first entry.
+    first, second = [parse_dt(t) for n, t in BUNDLED_CODES if n == "K15n81556"]
+    entry = next(e for e in table if e.name == "K15n81556")
+    assert (entry.dt, entry.aliases) == (first, (second,))
+    assert all(e.aliases == () for e in table if e is not entry)
 
 
 def _via_build_table(entries, tmp_path):
@@ -97,6 +102,47 @@ def test_table_fingerprint_faults_propagate(
         make_table([("trefoil", parse_dt("[4, 6, 2]"))], tmp_path)
 
 
+# realize_dt fixes a code's chirality by the writhe of its crossings, so
+# negating every entry of the 7_1 code realizes 7_1 again, not its mirror.
+# The second pair labels one writhe-0 diagram of a chiral 10-crossing knot
+# from two starts, and the writhe tie rule realizes opposite mirror images.
+SEVEN_ONE = parse_dt("[12, 14, -10, -20, 16, 18, 2, -8, 4, -6]")
+NEGATED_SEVEN_ONE = parse_dt("[-12, -14, 10, 20, -16, -18, -2, 8, -4, 6]")
+TEN = parse_dt("[-14, -18, 12, -2, -16, 4, -20, -8, -10, -6]")
+MIRROR_TEN = parse_dt("[-16, -10, 18, -14, -2, -4, -20, -8, -12, 6]")
+
+
+@TABLE_PATHS
+@pytest.mark.parametrize(
+    "first, second, aliases, chirality",
+    [
+        pytest.param(
+            SEVEN_ONE, NEGATED_SEVEN_ONE, (NEGATED_SEVEN_ONE,), "as-listed",
+            id="same-fingerprint",
+        ),
+        pytest.param(TEN, MIRROR_TEN, (), "mirror", id="mirror-fingerprint"),
+    ],
+)
+def test_a_repeated_code_is_an_alias_only_in_the_same_chirality(
+    make_table, prefix, tmp_path, first, second, aliases, chirality
+):
+    # A repeated name whose code draws the mirror image is dropped.  As an
+    # alias it would lend a certificate step presenting that code the
+    # as-listed fingerprint, and the step would report the wrong chirality.
+    table = make_table([("knot", first), ("knot", second)], tmp_path)
+    fp = fingerprint(realize_dt(first))
+    assert table == [KnotTableEntry("knot", first, fp, fp.mirrored(), aliases)]
+    assert identify(realize_dt(second), table) == [("knot", chirality)]
+    step = CertificateStep(second, frozenset(), "knot", "knot")
+    report = check_certificate(UnknottingCertificate((step,)), table)
+    assert report.passed
+    assert report.steps[0].lines[1:] == (
+        f"  before: knot ({chirality}) [fingerprint evidence]",
+        "  change crossings [] (0 changes)",
+        f"  after: knot ({chirality}) [fingerprint evidence]",
+    )
+
+
 def test_build_table_names_an_unrealizable_entry():
     with pytest.raises(InputError, match=r"^table entry bad: "):
         build_table([("bad", parse_dt("[4, 6, 8, 10, 2]"))])
@@ -139,8 +185,8 @@ def test_table_save_load_round_trip(tmp_path):
     path = tmp_path / "table.tsv"
     save_table(table, str(path))
     loaded = load_table(str(path))
-    assert [(e.name, e.dt, e.fingerprint) for e in loaded] == [
-        (e.name, e.dt, e.fingerprint) for e in table
+    assert [(e.name, e.dt, e.aliases, e.fingerprint) for e in loaded] == [
+        (e.name, e.dt, e.aliases, e.fingerprint) for e in table
     ]
 
 
