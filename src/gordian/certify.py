@@ -34,7 +34,7 @@ from .invariants import (
     Fingerprint,
     fingerprint,
     knot_invariants,
-    wirtinger,
+    murasugi_bound,
 )
 from .moves import deconnect_sum, simplify_global
 
@@ -240,9 +240,18 @@ BASE_BRAID = BraidWord.from_letters(
 )
 
 
+def _unknotting_certificate_7_1() -> UnknottingCertificate:
+    """Three changes take 7_1 to the unknot; the same three changes on the
+    mirror diagram take the mirror to the unknot."""
+    code = parse_dt("DT:[12, 14, -10, -20, 16, 18, 2, -8, 4, -6]")
+    return UnknottingCertificate((CertificateStep(code, frozenset({0, 1, 2}), "7_1"),))
+
+
 def paper_summands(table: list[KnotTableEntry]) -> tuple[bool, list[str]]:
     """Check that the closure of ``BASE_BRAID``, where the paper certificate
-    starts, splits into two 7-crossing summands: 7_1 and its mirror.
+    starts, splits into two 7-crossing summands, 7_1 and its mirror, and
+    that u(7_1) = u(mirror 7_1) = 3: Murasugi's signature bound from
+    below, and a checked certificate from above.
 
     Returns the verdict and the transcript lines.
     """
@@ -261,18 +270,24 @@ def paper_summands(table: list[KnotTableEntry]) -> tuple[bool, list[str]]:
     for i, p in enumerate(parts, start=1):
         fps.append(knot_invariants(p))
         ok &= _check_claim(fps[-1], "7_1", table, f"summand {i}", lines)
-        wp = wirtinger(p)
-        lines.append(
-            f"  knot group of summand {i}: {len(wp.generators)} generators, "
-            f"{len(wp.relators)} relators, abelianized rank "
-            f"{wp.abelianized_rank()}"
-        )
     mirror_pair = fps[0] == fps[1].mirrored() and fps[0] != fps[1]
     lines.append(
         "  the summands are mirror partners: "
         + ("PASS" if mirror_pair else "FAIL")
     )
-    return ok and mirror_pair, lines
+    sigma = fps[0].signature
+    lower = murasugi_bound(sigma)
+    lines.append(f"  lower bound: u(7_1) >= murasugi_bound({sigma:+d}) = {lower}")
+    report = check_certificate(_unknotting_certificate_7_1(), table)
+    lines.append("  upper bound on u(7_1), by certificate:")
+    lines.extend("    " + line for line in report.render().splitlines())
+    exact = report.passed and report.bound == lower
+    lines.append(
+        f"  u(7_1) = u(mirror 7_1) = {lower}, so u(7_1) + u(mirror 7_1) = {2 * lower}"
+        if exact
+        else "  FAIL: the bounds on u(7_1) do not meet"
+    )
+    return ok and mirror_pair and exact, lines
 
 
 def paper_certificate() -> UnknottingCertificate:

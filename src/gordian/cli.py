@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a verification or resource check
-failed, 2 bad usage or unparseable input.
+failed, 2 bad usage or unparseable input, 141 (128 + SIGPIPE, as a shell
+reports a command stopped by a closed pipe) the reader closed standard
+output before the command finished.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -186,10 +189,26 @@ def _merge_search_config(args) -> SearchConfig:
     return SearchConfig(**given)
 
 
+# Search options by flag: a replayed line carries its own settings.
+_SEARCH_FLAGS = {
+    "--seed": "seed",
+    "--trials": "trials",
+    "--k": "k_changes",
+    "--n-backtrack": "n_backtrack",
+    "--targets": "targets",
+    "--config": "config",
+}
+
+
 def cmd_search(args) -> int:
     table = _load_table(args)
     base = _resolve_base(args.base, table)
     if args.replay is not None:
+        given = [f for f, dest in _SEARCH_FLAGS.items() if getattr(args, dest) is not None]
+        if given:
+            raise InputError(
+                f"--replay takes its settings from the line; drop {', '.join(given)}"
+            )
         ok, rebuilt = replay_line(args.replay, base, table)
         print(rebuilt)
         print("replay: " + ("PASS" if ok else "FAIL"))
@@ -297,7 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a closed pipe fails inside this try and not in
+        # the interpreter's own flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at the null device, so
+        # nothing is left to fail when the interpreter flushes it at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE; see the module docstring
     except (InputError, UnrealizableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

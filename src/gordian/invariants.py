@@ -19,11 +19,10 @@ the Jones variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import braid as braid_mod
 from .braid import BraidWord, braid_closure, vogel_braid
-from .diagram import Dart, PDDiagram, in_slots
+from .diagram import Dart, PDDiagram
 from .errors import InputError, InternalError, ResourceError
 from .laurent import LaurentPoly
 from .moves import simplify_global, simplify_greedy
@@ -391,89 +390,6 @@ def murasugi_bound(x: PDDiagram | BraidWord | int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger presentation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    """Arc generators and one conjugation relator per crossing."""
-
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]
-
-    def abelianized_rank(self) -> int:
-        """Rank of the abelianisation (1 for a knot group)."""
-        rows = []
-        for rel in self.relators:
-            row = [0] * len(self.generators)
-            for gen, exp in rel:
-                row[gen] += exp
-            rows.append(row)
-        # Fraction-free (Bareiss) row echelon form: rank = pivot count.
-        rank, prev = 0, 1
-        cols = len(self.generators)
-        for col in range(cols):
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            p = rows[rank][col]
-            for r in range(rank + 1, len(rows)):
-                f = rows[r][col]
-                rows[r] = [
-                    _exact_div(p * x - f * y, prev)
-                    for x, y in zip(rows[r], rows[rank])
-                ]
-            prev = p
-            rank += 1
-        return cols - rank
-
-
-def _arc_name(i: int) -> str:
-    if i < 26:
-        return chr(ord("a") + i)
-    return f"g{i}"
-
-
-def wirtinger(d: PDDiagram) -> WirtingerPresentation:
-    """Wirtinger presentation of the knot group from the diagram."""
-    if not d.is_knot:
-        raise InputError("wirtinger expects a one-component diagram")
-    if d.n == 0:
-        return WirtingerPresentation(("a",), ())
-    walk = list(d.components[0])
-    under_in = {
-        c.edges[0] for c in d.crossings
-    }  # edges that end by passing under
-    # Start the walk right after an undercrossing so arcs do not wrap.
-    for i, e in enumerate(walk):
-        if e in under_in:
-            walk = walk[i + 1:] + walk[: i + 1]
-            break
-    arc_of: dict[int, int] = {}
-    arc = 0
-    for e in walk:
-        arc_of[e] = arc
-        if e in under_in:
-            arc += 1
-    arcs = arc
-    if arcs != d.n:
-        raise InternalError("arc count does not match crossing count")
-    relators = []
-    for c in d.crossings:
-        over = arc_of[c.edges[in_slots(c.sign)[1]]]
-        into = arc_of[c.edges[0]]
-        out = arc_of[c.edges[2]]
-        relators.append(
-            ((out, -1), (over, c.sign), (into, 1), (over, -c.sign))
-        )
-    return WirtingerPresentation(
-        tuple(_arc_name(i) for i in range(arcs)), tuple(relators)
-    )
-
-
-# ---------------------------------------------------------------------------
 # fingerprints
 # ---------------------------------------------------------------------------
 
@@ -562,11 +478,3 @@ def torus_diagram(n: int) -> PDDiagram:
         raise InputError("torus_diagram needs an odd crossing count >= 3")
     return braid_closure(BraidWord((1,) * n, 2))
 
-
-def torus_unknotting(p: int, q: int) -> int:
-    """Unknotting number ``(p-1)(q-1)/2`` of the torus knot ``T(p, q)``."""
-    if p < 2 or q < 2:
-        raise InputError("torus knot parameters must be at least 2")
-    if gcd(p, q) != 1:
-        raise InputError(f"T({p},{q}) is a link, not a knot")
-    return (p - 1) * (q - 1) // 2

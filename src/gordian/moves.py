@@ -217,11 +217,6 @@ def apply_move(x: PDDiagram | Editor, move: Move) -> PDDiagram | Editor:
     return ed if ed is x else ed.to_diagram()
 
 
-def push_arc_over(d: PDDiagram, da: Dart, db: Dart) -> PDDiagram:
-    """R2 increase: push the arc at face dart ``da`` over the arc at ``db``."""
-    return apply_move(d, Move("R2+", (da, db)))
-
-
 # ---------------------------------------------------------------------------
 # sampled increasing moves
 # ---------------------------------------------------------------------------

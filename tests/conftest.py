@@ -330,22 +330,6 @@ def fraction_signature(rows: list[list[int]]) -> int:
     return pos - neg
 
 
-def fraction_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Gaussian elimination over Q."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / mat[rank][col]
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Independent editing oracles (the boundary walk and the per-case wiring
 # that the pass primitives replaced)
@@ -1044,6 +1028,55 @@ def seifert_alexander(word: BraidWord) -> LaurentPoly:
         centered = -centered
     assert centered(1) == 1, "oracle normalisation expects Delta(1) = +-1"
     return centered
+
+
+def fox_alexander(d) -> LaurentPoly:
+    """Alexander polynomial of a knot diagram by Fox calculus, normalized
+    as ``alexander`` normalizes it.
+
+    The arcs of the diagram generate its Wirtinger presentation.  A
+    crossing of sign e, where the under-strand enters on arc i and leaves
+    on arc j below the over-arc k, gives the relator x_k^e x_i x_k^-e x_j^-1,
+    whose Fox derivatives with every generator sent to t are t^e at i, -1
+    at j and 1 - t^e at k.  Dropping the last row and column of that n x n
+    matrix leaves a minor whose determinant is the Alexander polynomial up
+    to a unit +-t^a.  This reads no braid, Burau or Seifert matrix; it
+    shares only Laurent arithmetic with the package.
+    """
+    n = d.n
+    walk = list(d.components[0]) if n else []
+    ends_under = {c.edges[0] for c in d.crossings}
+    # Start the walk just after an undercrossing, so no arc wraps around.
+    first = next((i for i, e in enumerate(walk) if e in ends_under), -1)
+    walk = walk[first + 1:] + walk[: first + 1]
+    arc_of, arc = {}, 0
+    for e in walk:
+        arc_of[e] = arc
+        arc += e in ends_under
+    assert arc == n, "a knot diagram has one arc per crossing"
+    rows = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for row, c in zip(rows, d.crossings):
+        i, j, k = arc_of[c.edges[0]], arc_of[c.edges[2]], arc_of[c.edges[1]]
+        te = LaurentPoly.var(c.sign)
+        row[i] = row[i] + te
+        row[j] = row[j] - 1
+        row[k] = row[k] + 1 - te
+    # Fraction-free (Bareiss) elimination on the leading (n-1) minor, with
+    # row swaps; a swap only changes the unit.
+    m = [row[: n - 1] for row in rows[: n - 1]]
+    det, denom = LaurentPoly.one(), LaurentPoly.one()
+    for p in range(n - 1):
+        swap = next((r for r in range(p, n - 1) if not m[r][p].is_zero()), None)
+        assert swap is not None, "Fox minor is singular on a knot"
+        m[p], m[swap] = m[swap], m[p]
+        for r in range(p + 1, n - 1):
+            for q in range(p + 1, n - 1):
+                m[r][q] = (m[r][q] * m[p][p] - m[r][p] * m[p][q]).exact_div(denom)
+        det = denom = m[p][p]
+    lo, hi = det.min_exp(), det.max_exp()
+    assert (lo + hi) % 2 == 0, "odd exponent span in Fox oracle"
+    centered = det.shift(-(lo + hi) // 2)
+    return centered if centered(1) > 0 else -centered
 
 
 # ---------------------------------------------------------------------------

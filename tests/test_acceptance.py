@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from gordian import certify
 from gordian.braid import BraidWord, braid_closure, vogel_braid
 from gordian.certify import (
     BASE_BRAID,
@@ -32,7 +33,6 @@ from gordian.invariants import (
     murasugi_bound,
     seifert_matrix,
     signature,
-    torus_unknotting,
 )
 from gordian.laurent import LaurentPoly
 from gordian.moves import (
@@ -123,13 +123,14 @@ def test_criterion_3_identification_chain(table):
         assert simplify_global(d_ke, seed=0).n == 0
 
 
-def test_criterion_4_murasugi_and_torus_arithmetic():
-    with _verdict(4, "murasugi_bound(T(2,7)) = torus_unknotting(2,7) = 3"):
+def test_criterion_4_murasugi_and_torus_arithmetic(table):
+    with _verdict(4, "u(7_1) = 3: murasugi_bound(T(2,7)) = 3 and a 3-change certificate"):
         t27 = BraidWord.from_letters((1,) * 7, 2)
         assert murasugi_bound(t27) == 3
-        assert torus_unknotting(2, 7) == 3
-        for k in range(3, 7):
-            assert torus_unknotting(2, 2 * k + 1) == k
+        (entry,) = [e for e in table if e.name == "7_1"]
+        assert murasugi_bound(entry.fingerprint.signature) == 3
+        report = check_certificate(certify._unknotting_certificate_7_1(), table)
+        assert report.passed and report.bound == 3
 
 
 def test_criterion_5_cascade_and_composed_certificates(table):

@@ -67,6 +67,24 @@ def test_adjacency_certificate_passes(table, fingerprint_calls):
     assert fingerprint_calls == []
 
 
+@pytest.mark.parametrize(
+    "flips, left", [({0, 1, 2}, 0), ({0, 1}, 3), ({0, 1, 4}, 6)]
+)
+def test_the_7_1_certificate_needs_its_three_flips(
+    table, fingerprint_calls, flips, left
+):
+    # The 7_1 code is a table code, so its fingerprint comes from the table
+    # and only the flipped diagram is walked.  Two flips, or a wrong third
+    # one, leave a knotted diagram.
+    (step,) = certify._unknotting_certificate_7_1().steps
+    step = replace(step, change_indices=frozenset(flips))
+    report = check_certificate(UnknottingCertificate((step,)), table)
+    assert fingerprint_calls == []
+    assert report.passed == (left == 0)
+    if left:
+        assert f"FAIL: final diagram only reduced to {left} crossings" in report.render()
+
+
 def test_a_missing_table_entry_is_fingerprinted_and_still_fails(
     table, fingerprint_calls
 ):

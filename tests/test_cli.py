@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gordian import cli, invariants
-from gordian.certify import parse_certificate
+from gordian import certify, cli, invariants
+from gordian.certify import UnknottingCertificate, parse_certificate
 from gordian.cli import build_parser, main
 from gordian.codes import parse_dt, realize_dt
 from gordian.errors import InputError, InternalError
@@ -165,6 +166,23 @@ def test_verify_paper_fails_on_a_wrong_summand(capsys, tmp_path):
     assert out.strip().endswith("bound not established")
 
 
+def test_verify_paper_fails_without_the_7_1_upper_bound(capsys, monkeypatch):
+    # Two of the three flips leave 3 crossings, so u(7_1) = 3 is not shown
+    # and the summands verdict fails, though the paper certificate passes.
+    (step,) = certify._unknotting_certificate_7_1().steps
+    cert = UnknottingCertificate((replace(step, change_indices=frozenset({0, 1})),))
+    monkeypatch.setattr(certify, "_unknotting_certificate_7_1", lambda: cert)
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 1
+    summands = out.split("== step 1 ==", 1)[0]
+    assert "lower bound: u(7_1) >= murasugi_bound(+6) = 3" in summands
+    assert "      FAIL: final diagram only reduced to 3 crossings\n" in summands
+    assert "    certificate: FAIL, total crossing changes = 2\n" in summands
+    assert "FAIL: the bounds on u(7_1) do not meet" in summands
+    assert "certificate: PASS, total crossing changes = 5" in out
+    assert out.strip().endswith("bound not established")
+
+
 def test_verify_paper_transcripts_are_identical(capsys):
     _, first, _ = run(capsys, "verify-paper")
     _, second, _ = run(capsys, "verify-paper")
@@ -303,6 +321,36 @@ def test_long_braid_letter_is_refused_promptly():
     assert done.stderr == "error: expected a one-component diagram\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper"],
+        ["search", "--base", "BRAID:[1, 1, 1]", "--seed", "5", "--trials", "2"],
+    ],
+    ids=["verify-paper", "search"],
+)
+def test_a_closed_stdout_ends_quietly_with_141(argv, unbuffered):
+    # The reader is gone before the first write, as after `| head -n 1`
+    # once it has its line.  Buffered output first fails at the flush in
+    # main; unbuffered output at the first print.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gordian.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_internal_error_exits_1(capsys, monkeypatch):
     def broken(d):
         raise InternalError("braid reading dropped crossings")
@@ -439,17 +487,26 @@ def test_dropped_walk_options_exit_2(capsys, tmp_path):
 
 
 def test_search_replay_through_cli(capsys):
-    code, out, _ = run(
-        capsys,
-        "search", "--base", "BRAID:[1, 1, 1]",
-        "--seed", "5", "--trials", "1", "--k", "0",
-    )
-    line = out.strip().splitlines()[0]
-    code, out, _ = run(
-        capsys, "search", "--base", "BRAID:[1, 1, 1]", "--replay", line
-    )
+    base = ("search", "--base", "BRAID:[1, 1, 1]")
+    _, out, _ = run(capsys, *base, "--seed", "5", "--trials", "1", "--k", "0")
+    replay = (*base, "--replay", out.splitlines()[0])
+    code, out, _ = run(capsys, *replay)
     assert code == 0
     assert out.strip().splitlines()[-1] == "replay: PASS"
+    # The line carries its own seed, flips and result, so search options
+    # beside it are refused rather than silently dropped.
+    code, out, err = run(
+        capsys, *replay, "--targets", "nope", "--config", "/nonexistent"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --replay takes its settings from the line; "
+        "drop --targets, --config\n"
+    )
+    for flag in ("--seed", "--trials", "--k", "--n-backtrack"):
+        code, _, err = run(capsys, *replay, flag, "1")
+        assert code == 2
+        assert err.endswith(f"drop {flag}\n")
 
 
 def test_usage_error_exits_2(capsys):

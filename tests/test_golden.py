@@ -89,10 +89,11 @@ def test_verify_paper_transcript_is_unchanged(capsys):
 
 
 def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
-    # Whatever times the transcript by its lines must see each step's
-    # header before that step gets its first fingerprint, and every earlier
-    # step's lines already printed.  Every step's fingerprints, computed or
-    # taken from the table, come through one helper.
+    # Whatever times the transcript by its lines must see each section's
+    # header before that section gets its first fingerprint, and every
+    # earlier section's lines already printed.  Every step's fingerprints,
+    # computed or taken from the table, come through one helper; the
+    # summands section takes one for its u(7_1) certificate.
     out = io.StringIO()
     printed_at_call = []
 
@@ -108,7 +109,7 @@ def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
     assert out.getvalue() == expected
     assert all(expected.startswith(printed) for printed in printed_at_call)
     last_lines = {printed.splitlines()[-1] for printed in printed_at_call}
-    assert last_lines == {f"== step {i} ==" for i in range(1, 5)}
+    assert last_lines == {"== summands =="} | {f"== step {i} ==" for i in range(1, 5)}
 
 
 def test_convert_to_pd_is_unchanged(capsys):

@@ -1,10 +1,12 @@
 """Exact invariants, checked against an independent oracle and frozen values.
 
-The Alexander polynomial has two fully independent routes here: the
-package takes one determinant of the Burau matrix of a braid, while the
-test oracle (``seifert_alexander`` in conftest) interpolates
-``det(V - t*V^T)`` of the Seifert matrix from integer determinants, which
-also pins the Seifert matrix that the package's signature reads.
+The Alexander polynomial has two test oracles, each independent of the
+package's route, which takes one determinant of the Burau matrix of a
+braid.  ``seifert_alexander`` in conftest interpolates ``det(V - t*V^T)``
+of the Seifert matrix from integer determinants, which also pins the
+Seifert matrix that the package's signature reads.  ``fox_alexander``
+reads no braid at all: it takes a minor of the Fox derivatives of the
+diagram's Wirtinger relators.
 Determinants likewise cross two routes: Burau/Alexander on one side and
 the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
 computed by planar contraction, is checked against the 2**n state sum
@@ -36,7 +38,6 @@ from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
     FINGERPRINT_BUDGET,
     FINGERPRINT_WIDTH,
-    WirtingerPresentation,
     _contraction_order,
     _symmetric_signature,
     alexander,
@@ -49,8 +50,6 @@ from gordian.invariants import (
     seifert_matrix,
     signature,
     torus_diagram,
-    torus_unknotting,
-    wirtinger,
 )
 from gordian.laurent import LaurentPoly
 from gordian.moves import (
@@ -60,7 +59,7 @@ from gordian.moves import (
     simplify_greedy,
 )
 from tests.conftest import (
-    fraction_rank,
+    fox_alexander,
     fraction_signature,
     int_det,
     random_knot_diagram,
@@ -99,6 +98,36 @@ def test_alexander_agrees_with_seifert_oracle(rng):
     for _ in range(40):
         word = random_knot_word(rng, max_strands=8, max_letters=30)
         assert alexander(word) == seifert_alexander(word), word.letters
+
+
+def test_fox_oracle_matches_published_values():
+    assert fox_alexander(PDDiagram((), 1)) == LaurentPoly.one()
+    assert fox_alexander(braid_closure(TREFOIL)) == poly((-1, 1), (0, -1), (1, 1))
+    assert fox_alexander(braid_closure(FIGURE_EIGHT)) == poly(
+        (-1, -1), (0, 3), (1, -1)
+    )
+    assert fox_alexander(braid_closure(T27)) == poly(
+        (-3, 1), (-2, -1), (-1, 1), (0, -1), (1, 1), (2, -1), (3, 1)
+    )
+
+
+def test_alexander_agrees_with_fox_oracle(rng):
+    # The Fox oracle reads the diagram's arcs, so it also checks the Vogel
+    # braid that alexander() reads off a diagram that is not a closure.
+    for _ in range(150):
+        word = random_knot_word(rng, max_strands=6, max_letters=30)
+        d = braid_closure(word)
+        assert alexander(word) == fox_alexander(d), word.letters
+    for seed in range(16):
+        d = backtrack_randomize(
+            braid_closure(random_knot_word(rng, max_letters=12)), steps=8, seed=seed
+        )
+        assert alexander(d) == fox_alexander(d), seed
+    for name, text in BUNDLED_CODES:
+        d = realize_dt(parse_dt(text))
+        assert alexander(d) == fox_alexander(d), name
+    base = braid_closure(BASE_BRAID)
+    assert alexander(base) == fox_alexander(base)
 
 
 def test_burau_pivots_are_units_at_one(rng):
@@ -180,24 +209,6 @@ def test_signature_matches_the_fraction_oracle(rng):
         m = len(V)
         sym = [[V[i][j] + V[j][i] for j in range(m)] for i in range(m)]
         assert _symmetric_signature(sym) == fraction_signature(sym)
-
-
-def test_abelianized_rank_matches_the_fraction_oracle(rng):
-    for _ in range(200):
-        gens = rng.randint(1, 7)
-        relators = tuple(
-            tuple(
-                (rng.randrange(gens), rng.choice((1, -1)))
-                for _ in range(rng.randint(0, 4))
-            )
-            for _ in range(rng.randint(0, 7))
-        )
-        w = WirtingerPresentation(tuple("g" * gens), relators)
-        rows = [[0] * gens for _ in relators]
-        for row, rel in zip(rows, relators):
-            for gen, exp in rel:
-                row[gen] += exp
-        assert w.abelianized_rank() == gens - fraction_rank(rows)
 
 
 def test_determinant_anchors():
@@ -420,7 +431,7 @@ def test_seifert_pairing_is_unimodular(rng):
 
 
 # ---------------------------------------------------------------------------
-# bounds, torus knots, Wirtinger
+# bounds and torus knots
 # ---------------------------------------------------------------------------
 
 
@@ -429,17 +440,6 @@ def test_murasugi_bound():
     assert murasugi_bound(braid_closure(BraidWord((), 1))) == 0
     assert murasugi_bound(5) == 3
     assert murasugi_bound(-6) == 3
-
-
-def test_torus_unknotting_formula():
-    assert torus_unknotting(2, 7) == 3
-    assert torus_unknotting(2, 3) == 1
-    for k in range(3, 7):
-        assert torus_unknotting(2, 2 * k + 1) == k
-    with pytest.raises(InputError):
-        torus_unknotting(1, 5)
-    with pytest.raises(InputError):
-        torus_unknotting(2, 4)
 
 
 def test_torus_diagram():
@@ -461,23 +461,6 @@ def test_torus_cascade_step():
     d9 = torus_diagram(9)
     dropped = simplify_global(crossing_change(d9, 0), budget=2000)
     assert fingerprint(dropped) == fingerprint(torus_diagram(7))
-
-
-def test_wirtinger_presentations():
-    w0 = wirtinger(PDDiagram((), 1))
-    assert w0.generators == ("a",)
-    assert w0.relators == ()
-    assert w0.abelianized_rank() == 1
-    wt = wirtinger(braid_closure(TREFOIL))
-    assert len(wt.generators) == 3
-    assert len(wt.relators) == 3
-    assert wt.abelianized_rank() == 1
-
-
-def test_wirtinger_rank_is_one_for_knots(rng):
-    for _ in range(10):
-        d = random_knot_diagram(rng, max_crossings=10)
-        assert wirtinger(d).abelianized_rank() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gordian.invariants import (
     torus_diagram,
 )
 from gordian.moves import (
+    Move,
     apply_move,
     backtrack_randomize,
     connected_sum,
@@ -315,7 +316,7 @@ def test_push_arc_over_refuses_two_darts_on_one_edge():
     tail, head = d.edge_ends[1]
     for da, db in ((tail, head), (head, tail), (tail, tail)):
         with pytest.raises(InputError, match="same edge"):
-            moves.push_arc_over(d, da, db)
+            apply_move(d, Move("R2+", (da, db)))
 
 
 def test_move_loops_match_the_rebuild_per_move_references(rng):
