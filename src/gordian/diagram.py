@@ -12,9 +12,8 @@ A dart is the integer ``4 * crossing + slot``: its crossing is ``d >> 2``,
 the next slot counterclockwise ``d + 1`` (``d - 3`` at slot 3), the slot a
 strand through ``d`` uses on the far side ``d ^ 2``, and over slots are
 odd.  Darts sort as ``(crossing, slot)`` pairs would.  The mutable
-``Editor`` keeps two face indexes across rewrites: the faces of one to
-three darts, where every reducing and triangle site lies, and every face,
-built only when a caller reads them all.
+``Editor`` keeps one face index across rewrites, which also lists the
+faces of one to three darts, where every reducing and triangle site lies.
 
 Signs follow the braid-generator convention used throughout: the closure of
 the one-letter braid ``[+1]`` is a single ``+1`` crossing (a kink whose
@@ -24,7 +23,7 @@ bracket is ``-A^3``).  The mirror image of a diagram negates every sign.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,29 +130,10 @@ class PDDiagram:
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Face boundaries as dart orbits of ``rotate(partner(dart))``."""
-        return tuple(_orbits(range(4 * self.n), self.dart_partner))
+        return Editor.from_diagram(self).faces()
 
     def __repr__(self) -> str:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
-
-
-def _orbits(
-    starts: Iterable[Dart], partner: dict[Dart, Dart]
-) -> Iterator[tuple[Dart, ...]]:
-    # The orbit of each start dart that no earlier orbit passed, from it.
-    seen: set[Dart] = set()
-    for start in starts:
-        if start in seen:
-            continue
-        orbit = [start]
-        d = partner[start]
-        d = d + 1 if d & 3 != 3 else d - 3
-        while d != start:
-            orbit.append(d)
-            d = partner[d]
-            d = d + 1 if d & 3 != 3 else d - 3
-        seen.update(orbit)
-        yield tuple(orbit)
 
 
 def small_face(partner: dict[Dart, Dart], d: Dart) -> tuple[Dart, ...] | None:
@@ -355,15 +335,15 @@ class Editor:
     through new passes.  ``rewire`` overwrites partner entries at once and
     returns what undoes it.
 
-    Faces are kept across rewrites, each under its least dart, its *key*,
-    and starting there.  ``connect``, ``rewire`` and ``smooth_out`` record
-    the darts whose partners they change; every face that changed passes
-    one of them.  A read of the faces of one to three darts
-    (``faces_of_size``) drops those through recorded darts and follows at
-    most three steps of the orbit from each recorded dart.  The index of
-    all faces is built on the first read of them all (``faces``,
-    ``face_of``, ``retrace_faces``); later reads trace again only the faces
-    through darts recorded since.
+    Faces are kept across rewrites in one index, each under its least
+    dart, its *key*, and starting there; the keys of the faces of one to
+    three darts are kept by size too.  ``connect``, ``rewire`` and
+    ``smooth_out`` record the darts whose partners they change, and a copy
+    records every dart; every face that changed passes one of them.  Each
+    read (``faces``, ``faces_of_size``, ``retrace_faces``) first drops the
+    faces through recorded darts and traces again the faces through them
+    and through the dropped faces' darts.  ``face_of`` reads the index as
+    the last read left it.
     """
 
     def __init__(self) -> None:
@@ -373,16 +353,12 @@ class Editor:
         self._next = 0
         # Tail ranks (see tail_rank), None after a rewrite until read.
         self._rank: dict[Dart, int] | None = None
-        # The full face index, built on the first read: key -> face, dart
-        # -> key, and the darts changed since its last update.
-        self._faces: dict[Dart, tuple[Dart, ...]] | None = None
+        # The face index: key -> face, dart -> key, size -> keys of the faces
+        # of one to three darts, and the darts changed since the last read.
+        self._faces: dict[Dart, tuple[Dart, ...]] = {}
         self._key_of: dict[Dart, Dart] = {}
+        self._small: dict[int, set[Dart]] = {1: set(), 2: set(), 3: set()}
         self._touched: set[Dart] = set()
-        # The small face index: size -> key -> face, dart -> face, and the
-        # darts changed since its last update.
-        self._small: dict[int, dict[Dart, tuple[Dart, ...]]] = {1: {}, 2: {}, 3: {}}
-        self._small_of: dict[Dart, tuple[Dart, ...]] = {}
-        self._small_touched: set[Dart] = set()
 
     @classmethod
     def from_diagram(cls, d: PDDiagram) -> "Editor":
@@ -394,7 +370,7 @@ class Editor:
         for ci, c in enumerate(d.crossings):
             ed.signs[ci] = c.sign
         ed.adj = dict(d.dart_partner)
-        ed._small_touched = set(ed.adj)
+        ed._touched = set(ed.adj)
         ends = d.edge_ends
         ed._rank = {ends[e][0]: k for k, e in enumerate(sorted(ends))}
         return ed
@@ -408,7 +384,6 @@ class Editor:
 
     def _touch(self, darts: Iterable[Dart]) -> None:
         self._touched.update(darts)
-        self._small_touched.update(darts)
         self._rank = None
 
     def connect(self, a: Dart, b: Dart) -> None:
@@ -442,71 +417,67 @@ class Editor:
         return s == 2 if not s & 1 else (s == 3) == (self.signs[d >> 2] > 0)
 
     def retrace_faces(self) -> tuple[list[Dart], list[tuple[Dart, ...]]]:
-        """Bring the full face index up to date with the partner map.
+        """Bring the face index up to date with the partner map.
 
-        Returns the keys of the faces dropped since the last update and the
-        faces traced in their place (every face, on the first update).  No
+        Returns the keys of the faces dropped since the last read of the
+        index of any kind (``faces``, ``faces_of_size`` or this) and the
+        faces traced in their place: every face, on the first read.  No
         surviving face passes a touched dart, so the touched darts and the
         darts of the dropped faces are exactly the darts of the new faces;
-        tracing them in increasing order starts each face at its key.
+        tracing them in increasing order starts each face at its key.  A
+        caller that follows the changes, as Vogel braiding does, makes no
+        other read between two calls.
         """
-        if self._faces is None:
-            self._faces = {}
-            dropped: list[Dart] = []
-            starts: Iterable[Dart] = sorted(self.adj)
-        elif self._touched:
-            dropped = []
-            freed = set(self._touched)
-            for d in self._touched:
-                key = self._key_of.get(d)
-                if key is None:
-                    continue  # new, or on a face dropped already
-                face = self._faces.pop(key)
-                for x in face:
-                    del self._key_of[x]
-                freed.update(face)
-                dropped.append(key)
-            starts = sorted(d for d in freed if d in self.adj)
-        else:
+        touched = self._touched
+        if not touched:
             return [], []
-        self._touched.clear()
-        traced = list(_orbits(starts, self.adj))
-        for face in traced:
-            self._faces[face[0]] = face
+        adj, faces, key_of, small = self.adj, self._faces, self._key_of, self._small
+        dropped: list[Dart] = []
+        freed = set(touched)
+        for d in touched:
+            key = key_of.get(d)
+            if key is None:
+                continue  # new, or on a face dropped already
+            face = faces.pop(key)
             for x in face:
-                self._key_of[x] = face[0]
+                del key_of[x]
+            if len(face) <= 3:
+                small[len(face)].discard(key)
+            freed.update(face)
+            dropped.append(key)
+        touched.clear()
+        traced = []
+        for start in sorted(freed):
+            if start in key_of or start not in adj:
+                continue
+            orbit = [start]
+            d = adj[start]
+            d = d + 1 if d & 3 != 3 else d - 3
+            while d != start:
+                orbit.append(d)
+                d = adj[d]
+                d = d + 1 if d & 3 != 3 else d - 3
+            face = tuple(orbit)
+            faces[start] = face
+            for x in face:
+                key_of[x] = start
+            if len(face) <= 3:
+                small[len(face)].add(start)
+            traced.append(face)
         return dropped, traced
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """Face boundaries, ordered as :attr:`PDDiagram.faces` orders them."""
+        """Face boundaries, each from its least dart, in that dart's order."""
         self.retrace_faces()
         return tuple(self._faces[key] for key in sorted(self._faces))
 
     def faces_of_size(self, k: int) -> list[tuple[Dart, ...]]:
         """The faces of ``k`` darts, for k = 1, 2 or 3, in face order."""
-        touched = self._small_touched
-        if touched:
-            adj, small, small_of = self.adj, self._small, self._small_of
-            for d in touched:
-                face = small_of.get(d)
-                if face is not None:
-                    del small[len(face)][face[0]]
-                    for x in face:
-                        del small_of[x]
-            for d in touched:
-                if d in small_of or d not in adj:
-                    continue
-                face = small_face(adj, d)
-                if face is not None:
-                    small[len(face)][face[0]] = face
-                    for x in face:
-                        small_of[x] = face
-            touched.clear()
-        faces = self._small[k]
-        return [faces[key] for key in sorted(faces)]
+        self.retrace_faces()
+        return [self._faces[key] for key in sorted(self._small[k])]
 
     def face_of(self, dart: Dart) -> tuple[Dart, ...]:
-        """The face through ``dart`` as of the last update of the full index."""
+        """The face through ``dart`` as of the last read of the index."""
         return self._faces[self._key_of[dart]]
 
     def tail_rank(self) -> dict[Dart, int]:
@@ -580,8 +551,7 @@ class Editor:
                 else:
                     adj[p] = q
                     adj[q] = p
-                self._touched.update((a, b, p, q))
-                self._small_touched.update((a, b, p, q))
+                self._touch((a, b, p, q))
             del self.signs[c]
 
     def to_diagram(self) -> PDDiagram:

@@ -111,10 +111,10 @@ def run_pipeline(
 ) -> list[SearchHit]:
     """Run all trials; emit one log line per trial via ``log``; return hits.
 
-    A trial that hits a resource limit (a braid with too few letters to
-    flip, or a bracket frontier past ``MAX_FRONTIER_STATES``) is skipped,
-    not fatal: the log line carries the error type and the search moves
-    on.  Every scramble is braided, however large.
+    A trial that hits a resource limit (Vogel braiding past s^2 pushes on
+    s Seifert circles, a braid with too few letters to flip, or a bracket
+    frontier past ``MAX_FRONTIER_STATES``) is skipped, not fatal: the log
+    line carries the error type and the search moves on.
     """
     if table is None:
         table = default_table()
@@ -155,15 +155,18 @@ def replay_line(
     over as written: they chose the braid and the flips, which the line
     already states.  Returns (verdict, recomputed line); the verdict is
     True only when the recomputation reproduces the line byte for byte.
-    A malformed line, or one whose flips do not strictly increase as
-    ``search`` writes them, raises ``InputError``.
+    A malformed line, one whose flips do not strictly increase as
+    ``search`` writes them, or a ``skip(...)`` line, which records no braid,
+    raises ``InputError``.
     """
     if table is None:
         table = default_table()
     fields = line.split()
     if len(fields) != 6:
         raise InputError(f"a hit line has 6 fields, got {len(fields)}")
-    trial_text, seed_text, braid_text, flip_text, _, _ = fields
+    trial_text, seed_text, braid_text, flip_text, result_text, _ = fields
+    if result_text.startswith("skip("):
+        raise InputError("a skipped trial records no braid to replay")
     try:
         trial, seed = int(trial_text), int(seed_text)
     except ValueError as exc:

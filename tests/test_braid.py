@@ -132,3 +132,20 @@ def test_vogel_braid_matches_the_reference_on_shuffled_closures(rng):
         assert (braid.letters, braid.strands) == (ref.letters, ref.strands)
         reversed_ += braid != vogel_braid(d)
     assert reversed_ >= 30
+
+
+def test_vogel_braid_cap_grows_with_the_seifert_circles():
+    # A 626-crossing scramble with 137 Seifert circles takes 4,602 pushes,
+    # more than a fixed cap of 4,000 allows and well within s^2 = 18,769.
+    # Pushes keep the circles, so they are the braid's strands.
+    rng = random.Random(5)
+    while True:
+        letters = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(601)]
+        d = braid_closure(BraidWord.from_letters(letters, 10))
+        if d.is_knot:
+            break
+    scramble = backtrack_randomize(d, 1200, seed=1)
+    assert scramble.n == 626
+    braid = vogel_braid(scramble)
+    assert (braid.strands, len(braid)) == (137, 9830)
+    assert closure_component_count(braid) == 1

@@ -509,6 +509,17 @@ def test_search_replay_through_cli(capsys):
         assert err.endswith(f"drop {flag}\n")
 
 
+def test_search_replay_refuses_a_skip_line(capsys):
+    # A skipped trial logs no braid and no flips, so there is nothing to
+    # recompute; the refusal says so instead of blaming the braid field.
+    code, out, err = run(
+        capsys, "search", "--base", "BRAID:[1, 1, 1]",
+        "--replay", "0 1000003 - - skip(ResourceError) -",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: a skipped trial records no braid to replay\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -161,24 +161,49 @@ def test_smooth_out_keeps_planarity_only_under_its_precondition():
         assert left.n == 3 and validate_pd(left) == []
 
 
-def assert_faces_match_a_rescan(ed: Editor, tails: list) -> int:
-    """Both face indexes against a rescan, the tails against the walk
-    ``tails`` (integer darts), and the kinks against the old order rule;
-    returns the number of kinks.
+def rescan(ed: Editor) -> dict:
+    """Every face of ``ed`` under its key, by the (crossing, slot) tracer."""
+    pairs = {divmod(a, 4): divmod(b, 4) for a, b in ed.adj.items()}
+    faces = (
+        tuple(4 * c + s for c, s in face)
+        for face in tuple_face_orbits(sorted(ed.signs), pairs)
+    )
+    return {face[0]: face for face in faces}
+
+
+def assert_faces_match_a_rescan(ed: Editor, tails: list, kept: dict, rng) -> int:
+    """The face index against a rescan, through its three reads in random
+    order, the tails against the walk ``tails`` (integer darts), and the
+    kinks against the old order rule; returns the number of kinks.
+
+    ``kept`` holds the faces as of the editor's last read of any kind (a
+    rescan then), and leaves holding the faces now.  What
+    ``retrace_faces`` reports is the change since that read: the kept
+    faces, less the dropped keys, plus the traced faces, must be a rescan.
 
     smooth_out of an arbitrary set can leave a link diagram that is not
     planar (two loops through one crossing at opposite slots), where an
     edge with both ends at one crossing bounds no one-dart face; the kink
     order is checked on the planar states only, which are all the move
     loops meet."""
-    pairs = {divmod(a, 4): divmod(b, 4) for a, b in ed.adj.items()}
-    faces = tuple(
-        tuple(4 * c + s for c, s in face)
-        for face in tuple_face_orbits(sorted(ed.signs), pairs)
-    )
-    assert ed.faces() == faces
-    for k in (1, 2, 3):
-        assert ed.faces_of_size(k) == [f for f in faces if len(f) == k]
+    now = rescan(ed)
+    faces = tuple(now[key] for key in sorted(now))
+    for read in rng.sample(("faces", "faces_of_size", "retrace_faces"), 3):
+        if read == "faces":
+            assert ed.faces() == faces
+        elif read == "faces_of_size":
+            for k in rng.sample((1, 2, 3), 3):
+                assert ed.faces_of_size(k) == [f for f in faces if len(f) == k]
+        else:
+            dropped, traced = ed.retrace_faces()
+            for key in dropped:
+                del kept[key]
+            for face in traced:
+                assert face[0] not in kept
+                kept[face[0]] = face
+            assert kept == now
+        kept.clear()
+        kept.update(now)
     assert all(ed.face_of(dart) == face for face in faces for dart in face)
     assert ed.tails() == tails
     kinks = [m.site[0] for m in find_reducing_moves(ed) if m.kind == "R1-"]
@@ -213,48 +238,53 @@ def walked_tails(ed: Editor) -> tuple[list, set]:
 
 
 def test_face_index_matches_a_rescan_after_every_rewrite(rng):
-    # The editor keeps its small faces (one to three darts) by a bounded
-    # orbit check from each touched dart, and its full face index by
-    # tracing again only the faces through touched darts; its tails are
-    # walked afresh after every rewrite.  After every kind of rewrite, read
-    # at once or after a few more, both indexes must equal a whole-diagram
-    # rescan and several kinks must come in the order of their tails in a
-    # fresh strand walk: moves through apply_move, a triangle slide tried in
-    # place and undone (as greedy does), smooth_out of arbitrary crossing
-    # sets (as deconnect_sum does), some deleting a crossing a strand starts
-    # from and some closing free loops, and thread through the passes of new
-    # crossings.
+    # The editor keeps one face index, tracing again at each read only the
+    # faces through darts touched since the last read; its tails are walked
+    # afresh after every rewrite.  After every kind of rewrite, read at once
+    # or after a few more, each read of the index (all faces, the faces of
+    # one to three darts, and the changes since the last read applied to
+    # its faces) must equal a whole-diagram rescan, and several kinks must
+    # come in the order of their tails in a fresh strand walk: moves
+    # through apply_move, a triangle slide tried in place and undone (as
+    # greedy does), smooth_out of arbitrary crossing sets (as deconnect_sum
+    # does), some deleting a crossing a strand starts from and some closing
+    # free loops, and thread through the passes of new crossings.
     kinds = Counter()
     for d in editing_corpus(rng, 150):
         for _ in range(3):
             ed = Editor.from_diagram(d)
-            assert_faces_match_a_rescan(ed, [4 * c + s for c, s in tuple_label_tails(d)])
+            kept = {}  # nothing read yet: the first read traces every face
+            tails = [4 * c + s for c, s in tuple_label_tails(d)]
+            assert_faces_match_a_rescan(ed, tails, kept, rng)
             if ed.signs and rng.random() < 0.7:
                 # An edge threaded through no passes: the same diagram, whose
                 # tails are walked from here on.
                 ed.thread(rng.choice(ed.tails()), ())
-                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0], kept, rng)
             for _ in range(2):
                 starts = walked_tails(ed)[1]
                 removed = rng.sample(sorted(ed.signs), rng.randint(0, len(ed.signs)))
                 loops = ed.free_loops
                 ed.smooth_out(removed)
-                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0], kept, rng)
                 kinds["smooth_out"] += 1
                 kinds["smooth_out of a start"] += not starts.isdisjoint(removed)
                 kinds["smooth_out closing a loop"] += ed.free_loops > loops
         ed = Editor.from_diagram(d)
+        kept = {}
         tails = [4 * c + s for c, s in tuple_label_tails(d)]
         for _ in range(12):
             if tails is not None:
-                kinds["several kinks"] += assert_faces_match_a_rescan(ed, tails) > 1
+                kinks = assert_faces_match_a_rescan(ed, tails, kept, rng)
+                kinds["several kinks"] += kinks > 1
             roll = rng.random()
             r3 = find_r3_moves(ed)
             reducing = find_reducing_moves(ed)
+            kept = rescan(ed)  # both finders read the index
             if roll < 0.2 and r3:
                 move = r3[rng.randrange(len(r3))]
                 undo = ed.rewire(moves._slide(ed.adj, move.site))
-                assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+                assert_faces_match_a_rescan(ed, walked_tails(ed)[0], kept, rng)
                 ed.rewire(undo)
                 kinds["R3 undone"] += 1
                 tails = walked_tails(ed)[0]
@@ -270,14 +300,14 @@ def test_face_index_matches_a_rescan_after_every_rewrite(rng):
                 kinds[move.kind] += 1
                 # Read the indexes after this move or only after later ones.
                 tails = walked_tails(ed)[0] if rng.random() < 0.7 else None
-        assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+        assert_faces_match_a_rescan(ed, walked_tails(ed)[0], kept, rng)
         if ed.signs:
             tails = sorted(dart for dart in ed.adj if ed.is_out_dart(dart))
             new = [ed.new_crossing(rng.choice((1, -1))) for _ in range(rng.randint(1, 3))]
             passes = [p for c in new for p in ed.passes(c)]
             rng.shuffle(passes)
             ed.thread(rng.choice(tails), passes)
-            assert_faces_match_a_rescan(ed, walked_tails(ed)[0])
+            assert_faces_match_a_rescan(ed, walked_tails(ed)[0], kept, rng)
             kinds["thread"] += 1
     assert min(kinds.values()) >= 100 and len(kinds) == 11, kinds
 
