@@ -11,7 +11,7 @@ the unknot therefore bounds an unknotting number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .braid import (
     BraidWord,
@@ -23,12 +23,7 @@ from .braid import (
 from .codes import DTCode, flip_entries, parse_dt, realize_dt, render_dt
 from .diagram import PDDiagram, parse_int_list
 from .errors import InputError
-from .identify import (
-    KnotTableEntry,
-    default_table,
-    identify,
-    same_knot_evidence,
-)
+from .identify import KnotTableEntry, default_table, identify
 from .invariants import (
     FINGERPRINT_BUDGET,
     Fingerprint,
@@ -123,12 +118,11 @@ def _check_claim(
     where: str,
     lines: list[str],
 ) -> bool:
-    matches = identify(fp, table)
-    for name, chirality in matches:
-        if name == claim:
-            lines.append(f"  {where}: {name} ({chirality}) [fingerprint evidence]")
-            return True
-    found = ", ".join(f"{n} ({c})" for n, c in matches) or "no table match"
+    match = identify(fp, table)
+    found = "no table match" if match is None else "{} ({})".format(*match)
+    if match is not None and match[0] == claim:
+        lines.append(f"  {where}: {found} [fingerprint evidence]")
+        return True
     lines.append(f"  {where}: FAIL, claimed {claim} but found {found}")
     return False
 
@@ -181,17 +175,16 @@ def check_certificate(
         if prev_after is not None or step.claimed_before is not None:
             before = _fingerprint(known, step.presentation)
         if prev_after is not None:
-            ev = same_knot_evidence(prev_after, before)
-            if ev.passed:
-                lines.append(
-                    f"  continues step {i}: {ev.verdict} (fingerprint evidence)"
-                )
+            if before in (prev_after, prev_after.mirrored()):
+                verdict = "PASS" if before == prev_after else "PASS-UP-TO-MIRROR"
+                lines.append(f"  continues step {i}: {verdict} (fingerprint evidence)")
             else:
                 ok = False
-                name = next(n for n, left, right in ev.comparisons if left != right)
-                lines.append(
-                    f"  FAIL: does not continue step {i} (mismatched {name})"
+                name = next(
+                    f.name for f in fields(Fingerprint)
+                    if getattr(before, f.name) != getattr(prev_after, f.name)
                 )
+                lines.append(f"  FAIL: does not continue step {i} (mismatched {name})")
         if step.claimed_before is not None:
             ok &= _check_claim(before, step.claimed_before, table, "before", lines)
         changed = sorted(step.change_indices)

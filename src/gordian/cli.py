@@ -133,11 +133,11 @@ def cmd_identify(args) -> int:
     d = _resolve_input(args, table)
     fp = fingerprint(d)
     print(f"fingerprint: {fp.render()}")
-    matches = identify(fp, table)
-    if not matches:
+    match = identify(fp, table)
+    if match is None:
         print("no table match")
-    for name, chirality in matches:
-        print(f"match: {name} ({chirality}) [fingerprint evidence]")
+    else:
+        print("match: {} ({}) [fingerprint evidence]".format(*match))
     return 0
 
 

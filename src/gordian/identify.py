@@ -3,10 +3,14 @@
 Identification here is evidence, not proof: two knots with equal
 fingerprints are almost certainly the same, but nothing rules out a
 collision, so every positive report is labelled "fingerprint evidence".
+There is one same-knot rule: a fingerprint is the same knot as a
+reference when it equals the reference's fingerprint, and its mirror
+image when it equals that fingerprint's ``mirrored()``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .codes import DTCode, parse_dt, realize_dt, render_dt
@@ -44,8 +48,9 @@ BUNDLED_CODES: tuple[tuple[str, str], ...] = (
 
 @dataclass(frozen=True)
 class KnotTableEntry:
-    """A named reference knot with both chirality fingerprints.
+    """A named reference knot and the fingerprint of its own code.
 
+    The mirror image's fingerprint is ``fingerprint.mirrored()``.
     ``aliases`` are further codes of the knot whose diagrams have exactly
     ``fingerprint``, not only its mirror.
     """
@@ -53,56 +58,63 @@ class KnotTableEntry:
     name: str
     dt: DTCode
     fingerprint: Fingerprint
-    fingerprint_mirror: Fingerprint
     aliases: tuple[DTCode, ...] = ()
 
     def codes(self) -> tuple[DTCode, ...]:
         """Every code of the entry, its own first."""
         return (self.dt, *self.aliases)
 
-    def pair(self) -> frozenset[Fingerprint]:
-        return frozenset((self.fingerprint, self.fingerprint_mirror))
+
+_NAME = re.compile(r"[^\s#(),;~][^\s#(),;]*")
 
 
 def _admit(table: list[KnotTableEntry], entry: KnotTableEntry) -> None:
     """Add ``entry`` to ``table`` under the rules every table obeys.
 
-    Repeated names must agree, and then collapse to the first entry.  A
-    repeated code with exactly the first entry's fingerprint is kept as
-    one of its aliases; one with only the mirror of it is dropped, so that
-    no code stands for the wrong chirality.  Two different names with
-    overlapping fingerprint pairs would make every identification
+    A name is one token that ``--name``, ``--targets`` and a search log line
+    all read back whole: no whitespace, none of ``#(),;``, no leading ``~``,
+    and not ``base`` or ``?``, which are search results of their own.
+
+    Repeated names must agree up to mirror, and then collapse to the first
+    entry.  A repeated code with exactly the first entry's fingerprint is
+    kept as one of its aliases; one with only the mirror of it is dropped,
+    so that no code stands for the wrong chirality.  Two different names
+    whose fingerprints agree up to mirror would make every identification
     ambiguous, so that is a hard failure rather than a warning.
     """
+    name = entry.name
+    if not _NAME.fullmatch(name) or name in ("base", "?"):
+        raise InputError(
+            f"bad table name {name!r}: a name is one token, with no "
+            "whitespace or any of #(),;, no leading ~, and not base or ?"
+        )
+    same = (entry.fingerprint, entry.fingerprint.mirrored())
     for i, existing in enumerate(table):
-        if existing.name != entry.name:
+        if existing.name != name:
             continue
-        if existing.pair() != entry.pair():
-            raise InputError(
-                f"duplicate name {entry.name} with different fingerprints"
-            )
+        if existing.fingerprint not in same:
+            raise InputError(f"duplicate name {name} with different fingerprints")
         if existing.fingerprint == entry.fingerprint:
             table[i] = replace(existing, aliases=existing.aliases + (entry.dt,))
         return
     for other in table:
-        if entry.pair() & other.pair():
+        if other.fingerprint in same:
             raise InputError(
-                f"fingerprint collision between {other.name} and {entry.name}"
+                f"fingerprint collision between {other.name} and {name}"
             )
     table.append(entry)
 
 
 def build_table(entries: list[tuple[str, DTCode]]) -> list[KnotTableEntry]:
-    """Fingerprint each code; reject unrealizable codes, collisions and
-    inconsistent duplicates.  Errors while fingerprinting propagate."""
+    """Fingerprint each code; reject unrealizable codes and what ``_admit``
+    refuses.  Errors while fingerprinting propagate."""
     table: list[KnotTableEntry] = []
     for name, code in entries:
         try:
             d = realize_dt(code)
         except (InputError, UnrealizableError) as exc:
             raise InputError(f"table entry {name}: {exc}") from None
-        fp = fingerprint(d)
-        _admit(table, KnotTableEntry(name, code, fp, fp.mirrored()))
+        _admit(table, KnotTableEntry(name, code, fingerprint(d)))
     return table
 
 
@@ -121,64 +133,30 @@ def default_table() -> list[KnotTableEntry]:
 
 def identify(
     d: PDDiagram | Fingerprint, table: list[KnotTableEntry] | None = None
-) -> list[tuple[str, str]]:
-    """All table names matching ``d``, each with the chirality that matched.
-
-    Returns ``[]`` for an unidentified knot; more than one element means
-    the table itself is ambiguous (the bundled table never is).
-    """
+) -> tuple[str, str] | None:
+    """The table name matching ``d`` and the chirality that matched, or
+    None.  At most one entry matches, since ``_admit`` refuses two names
+    whose fingerprints agree up to mirror; an amphichiral knot matches
+    as listed."""
     if table is None:
         table = default_table()
     fp = d if isinstance(d, Fingerprint) else fingerprint(d)
-    matches = []
+    fp_mirror = fp.mirrored()
     for entry in table:
         if fp == entry.fingerprint:
-            matches.append((entry.name, "as-listed"))
-        elif fp == entry.fingerprint_mirror:
-            matches.append((entry.name, "mirror"))
-    return matches
-
-
-@dataclass(frozen=True)
-class EvidenceReport:
-    """Outcome of a fingerprint comparison between two diagrams."""
-
-    verdict: str  # PASS | PASS-UP-TO-MIRROR | FAIL
-    comparisons: tuple[tuple[str, str, str], ...]  # (invariant, left, right)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict != "FAIL"
-
-
-def same_knot_evidence(
-    a: PDDiagram | Fingerprint, b: PDDiagram | Fingerprint
-) -> EvidenceReport:
-    """Compare two knots invariant by invariant."""
-    fa = a if isinstance(a, Fingerprint) else fingerprint(a)
-    fb = b if isinstance(b, Fingerprint) else fingerprint(b)
-    if fa == fb:
-        verdict = "PASS"
-    elif fa == fb.mirrored():
-        verdict = "PASS-UP-TO-MIRROR"
-    else:
-        verdict = "FAIL"
-    comparisons = (
-        ("alexander", fa.alexander.render(), fb.alexander.render()),
-        ("jones", fa.jones.render(), fb.jones.render()),
-        ("signature", f"{fa.signature:+d}", f"{fb.signature:+d}"),
-        ("determinant", str(fa.determinant), str(fb.determinant)),
-    )
-    return EvidenceReport(verdict, comparisons)
+            return entry.name, "as-listed"
+        if fp_mirror == entry.fingerprint:
+            return entry.name, "mirror"
+    return None
 
 
 def save_table(table: list[KnotTableEntry], path: str) -> None:
     """Write the tab-separated table file: one line per code, an entry's
     own code first and then its aliases, each with the entry's
-    fingerprints."""
+    fingerprint and its mirror's."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in table:
-            fps = f"{e.fingerprint.render()}\t{e.fingerprint_mirror.render()}"
+            fps = f"{e.fingerprint.render()}\t{e.fingerprint.mirrored().render()}"
             for code in e.codes():
                 fh.write(f"{e.name}\t{render_dt(code)}\t{fps}\n")
 
@@ -216,14 +194,13 @@ def load_table(path: str) -> list[KnotTableEntry]:
                 f"table integrity: line {lineno} ({name}): {exc}"
             ) from None
         fp = fingerprint(d)
-        fpm = fp.mirrored()
-        if fp.render() != fp_text or fpm.render() != fpm_text:
+        if fp.render() != fp_text or fp.mirrored().render() != fpm_text:
             raise InputError(
                 f"table integrity: line {lineno} ({name}) does not match "
                 "its recomputed fingerprint"
             )
         try:
-            _admit(table, KnotTableEntry(name, code, fp, fpm))
+            _admit(table, KnotTableEntry(name, code, fp))
         except InputError as exc:
             raise InputError(f"table integrity: line {lineno}: {exc}") from None
     return table

@@ -54,19 +54,6 @@ def _compact(text: str) -> str:
     return text.replace(" ", "")
 
 
-def _result_token(
-    matches: list[tuple[str, str]], fp: Fingerprint, base_fp: Fingerprint
-) -> str:
-    if matches:
-        return ";".join(
-            name if chirality == "as-listed" else f"{name}(mirror)"
-            for name, chirality in matches
-        )
-    if fp == base_fp:
-        return "base"
-    return "?"
-
-
 def _hit_line(
     trial: int, seed: int, braid: BraidWord, flips, result: str, fp_text: str
 ) -> str:
@@ -83,13 +70,19 @@ def evaluate_candidate(
     base_fp: Fingerprint,
     table: list[KnotTableEntry],
 ) -> tuple[str, Fingerprint]:
-    """Flip the given letters, close the braid, and name the outcome.
+    """Flip the given letters, close the braid, and name the outcome: the
+    table name that matched, with ``(mirror)`` for a mirror match, else
+    ``base`` or ``?``.
 
     The outcome depends on the braid and the flips alone: the fingerprint
     walk takes no seed, so a log line replays without its trial's seed.
     """
     fp = fingerprint(realize(braid, flips))
-    return _result_token(identify(fp, table), fp, base_fp), fp
+    match = identify(fp, table)
+    if match is None:
+        return ("base" if fp == base_fp else "?"), fp
+    name, chirality = match
+    return (name if chirality == "as-listed" else f"{name}(mirror)"), fp
 
 
 def _is_hit(result: str, cfg: SearchConfig) -> bool:
@@ -98,8 +91,7 @@ def _is_hit(result: str, cfg: SearchConfig) -> bool:
     With targets, only a result that names one of them is a hit.
     """
     if cfg.targets:
-        names = {token.split("(")[0] for token in result.split(";")}
-        return bool(names & set(cfg.targets))
+        return result.removesuffix("(mirror)") in cfg.targets
     return result != "?"
 
 

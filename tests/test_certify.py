@@ -200,7 +200,30 @@ def test_broken_chain_fails_naming_invariant(table):
     report = check_certificate(cert, table)
     assert not report.passed
     assert "does not continue step 1" in report.render()
-    assert "mismatched" in report.render()
+    assert "mismatched alexander" in report.render()
+
+
+@pytest.mark.parametrize(
+    "letter, verdict", [(1, "PASS"), (-1, "PASS-UP-TO-MIRROR")]
+)
+def test_a_step_continues_the_last_up_to_mirror(table, letter, verdict):
+    # One change takes T(2,5) to the positive trefoil; the next step
+    # presents that trefoil, or its mirror image, and unknots it.
+    cert = UnknottingCertificate(
+        (
+            CertificateStep(
+                BraidWord.from_letters((1,) * 5, 2), frozenset({0}), None, None
+            ),
+            CertificateStep(
+                BraidWord.from_letters((letter,) * 3, 2), frozenset({0}), None, None
+            ),
+        )
+    )
+    report = check_certificate(cert, table)
+    assert report.passed
+    assert report.steps[1].lines[1] == (
+        f"  continues step 1: {verdict} (fingerprint evidence)"
+    )
 
 
 def test_final_step_must_unknot(table):

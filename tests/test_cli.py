@@ -13,8 +13,8 @@ from gordian.certify import UnknottingCertificate, parse_certificate
 from gordian.cli import build_parser, main
 from gordian.codes import parse_dt, realize_dt
 from gordian.errors import InputError, InternalError
-from gordian.identify import default_table, save_table
-from gordian.invariants import alexander, jones
+from gordian.identify import KnotTableEntry, default_table, save_table
+from gordian.invariants import alexander, fingerprint, jones
 from gordian.laurent import LaurentPoly
 from gordian.moves import mirror
 from gordian.search import SearchConfig, run_pipeline
@@ -228,6 +228,34 @@ def test_corrupted_table_is_rejected(capsys, tmp_path):
     )
     assert code == 2
     assert "table integrity" in err
+
+
+SEVEN_ONE = "DT:[12, 14, -10, -20, 16, 18, 2, -8, 4, -6]"
+
+
+@pytest.mark.parametrize(
+    "entries, argv",
+    [
+        ([("my knot", SEVEN_ONE), ("K(1)", "DT:[4,6,2]")], ["--base", SEVEN_ONE]),
+        ([("K(1)", "DT:[4,6,2]")], ["--base", "DT:[4,6,2]", "--targets", "K(1)"]),
+    ],
+    ids=["space-splits-the-log-line", "paren-cuts-the-target"],
+)
+def test_a_table_name_no_log_line_carries_is_refused(capsys, tmp_path, entries, argv):
+    # Written as an older package saved such tables: "my knot" would log a
+    # line of 7 fields that --replay refuses, and "K(1)" would never count
+    # as a hit of --targets K(1).
+    rows = []
+    for name, text in entries:
+        code = parse_dt(text)
+        rows.append(KnotTableEntry(name, code, fingerprint(realize_dt(code))))
+    path = tmp_path / "odd.tsv"
+    save_table(rows, str(path))
+    search = ["search", *argv, "--seed", "1", "--trials", "1", "--k", "0"]
+    code, out, err = run(capsys, *search, "--table", str(path))
+    assert (code, out) == (2, "")
+    name = entries[0][0]
+    assert err.startswith(f"error: table integrity: line 1: bad table name {name!r}: ")
 
 
 @pytest.mark.parametrize(

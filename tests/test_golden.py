@@ -24,6 +24,9 @@ bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
 ``data/simplify.txt`` holds ``gordian simplify`` of every bundled name, of
 ``7_1#~7_1``, of the README base braid and of T(2,19) as a 2-strand braid:
 it pins the walk's result, including where the walk ends.
+``data/default_table.tsv`` is ``save_table(default_table(), ...)``: it
+pins the table file, whose mirror column is written from each entry's
+fingerprint.
 """
 
 import contextlib
@@ -34,7 +37,7 @@ from gordian import certify
 from gordian.certify import adjacency_certificate_10_139, paper_certificate
 from gordian.cli import main
 from gordian.codes import DTCode, flip_entries, render_dt
-from gordian.identify import BUNDLED_CODES
+from gordian.identify import BUNDLED_CODES, default_table, save_table
 
 DATA = Path(__file__).resolve().parent / "data"
 README_BASE = "BRAID:[1,-4,2,3,3,3,2,3,2,2,4,-3,-3,-3,-3,-1,-3,-2,-3,-3]"
@@ -110,6 +113,12 @@ def test_verify_paper_prints_each_step_as_it_is_checked(monkeypatch):
     assert all(expected.startswith(printed) for printed in printed_at_call)
     last_lines = {printed.splitlines()[-1] for printed in printed_at_call}
     assert last_lines == {"== summands =="} | {f"== step {i} ==" for i in range(1, 5)}
+
+
+def test_saved_default_table_is_unchanged(tmp_path):
+    path = tmp_path / "table.tsv"
+    save_table(default_table(), str(path))
+    assert path.read_bytes() == (DATA / "default_table.tsv").read_bytes()
 
 
 def test_convert_to_pd_is_unchanged(capsys):

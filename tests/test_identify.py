@@ -1,5 +1,6 @@
 """Reference table construction, identification, and integrity checks."""
 
+import re
 import sys
 
 import pytest
@@ -15,7 +16,6 @@ from gordian.identify import (
     default_table,
     identify,
     load_table,
-    same_knot_evidence,
     save_table,
 )
 from gordian.invariants import fingerprint
@@ -48,7 +48,7 @@ def _via_load_table(entries, tmp_path):
     rows = []
     for name, code in entries:
         fp = fingerprint(realize_dt(code))
-        rows.append(KnotTableEntry(name, code, fp, fp.mirrored()))
+        rows.append(KnotTableEntry(name, code, fp))
     path = tmp_path / "table.tsv"
     save_table(rows, str(path))
     return load_table(str(path))
@@ -131,8 +131,8 @@ def test_a_repeated_code_is_an_alias_only_in_the_same_chirality(
     # as-listed fingerprint, and the step would report the wrong chirality.
     table = make_table([("knot", first), ("knot", second)], tmp_path)
     fp = fingerprint(realize_dt(first))
-    assert table == [KnotTableEntry("knot", first, fp, fp.mirrored(), aliases)]
-    assert identify(realize_dt(second), table) == [("knot", chirality)]
+    assert table == [KnotTableEntry("knot", first, fp, aliases)]
+    assert identify(realize_dt(second), table) == ("knot", chirality)
     step = CertificateStep(second, frozenset(), "knot", "knot")
     report = check_certificate(UnknottingCertificate((step,)), table)
     assert report.passed
@@ -143,6 +143,19 @@ def test_a_repeated_code_is_an_alias_only_in_the_same_chirality(
     )
 
 
+@TABLE_PATHS
+@pytest.mark.parametrize(
+    "name", ["", "my knot", "K(1)", "7_1#7_1", "a,b", "a;b", "~7_1", "base", "?"]
+)
+def test_a_table_name_must_come_back_whole(make_table, prefix, tmp_path, name):
+    # Each of these names would be cut, joined or misread by a reader of
+    # names: a search log line, --targets, --name, or a search result.
+    entries = [("7_1", SEVEN_ONE), (name, parse_dt("[4, 6, 2]"))]
+    message = re.escape(f"{prefix}bad table name {name!r}: ")
+    with pytest.raises(InputError, match=f"^{message}"):
+        make_table(entries, tmp_path)
+
+
 def test_build_table_names_an_unrealizable_entry():
     with pytest.raises(InputError, match=r"^table entry bad: "):
         build_table([("bad", parse_dt("[4, 6, 8, 10, 2]"))])
@@ -151,33 +164,15 @@ def test_build_table_names_an_unrealizable_entry():
 def test_identify_reports_chirality():
     table = default_table()
     d = realize_dt(parse_dt("[12, 14, -10, -20, 16, 18, 2, -8, 4, -6]"))
-    assert identify(d, table) == [("7_1", "as-listed")]
-    assert identify(mirror(d), table) == [("7_1", "mirror")]
-    assert identify(fingerprint(d), table) == [("7_1", "as-listed")]
+    assert identify(d, table) == ("7_1", "as-listed")
+    assert identify(mirror(d), table) == ("7_1", "mirror")
+    assert identify(fingerprint(d), table) == ("7_1", "as-listed")
 
 
 def test_identify_unknown_knot_is_empty():
     table = default_table()
     fig8 = braid_closure(BraidWord.from_letters((1, -2, 1, -2), 3))
-    assert identify(fig8, table) == []
-
-
-def test_same_knot_evidence_verdicts():
-    t = braid_closure(BraidWord.from_letters((1, 1, 1), 2))
-    report = same_knot_evidence(t, t)
-    assert report.verdict == "PASS"
-    assert report.passed
-    assert all(left == right for _, left, right in report.comparisons)
-
-    report = same_knot_evidence(t, mirror(t))
-    assert report.verdict == "PASS-UP-TO-MIRROR"
-    assert report.passed
-
-    fig8 = braid_closure(BraidWord.from_letters((1, -2, 1, -2), 3))
-    report = same_knot_evidence(t, fig8)
-    assert report.verdict == "FAIL"
-    assert not report.passed
-    assert any(left != right for _, left, right in report.comparisons)
+    assert identify(fig8, table) is None
 
 
 def test_table_save_load_round_trip(tmp_path):

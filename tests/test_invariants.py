@@ -12,7 +12,10 @@ the Kauffman bracket (Jones at -1) on the other.  The bracket itself,
 computed by planar contraction, is checked against the 2**n state sum
 (``state_sum_bracket`` in conftest) and, beyond that sum's reach, against
 the path-following contraction it replaced
-(``reference_contraction_bracket``), peak frontier states included.  The
+(``reference_contraction_bracket``), peak frontier states included.
+Signature and determinant are checked against ``goeritz_signature``
+(Gordon-Litherland), which reads the diagram's checkerboard faces and no
+Seifert matrix.  The
 span of the Jones polynomial is checked against the crossing count of
 random diagrams, the bound (Kauffman, Murasugi, Thistlethwaite) on which
 the simplification walk ends.
@@ -61,6 +64,7 @@ from gordian.moves import (
 from tests.conftest import (
     fox_alexander,
     fraction_signature,
+    goeritz_signature,
     int_det,
     random_knot_diagram,
     random_knot_word,
@@ -128,6 +132,37 @@ def test_alexander_agrees_with_fox_oracle(rng):
         assert alexander(d) == fox_alexander(d), name
     base = braid_closure(BASE_BRAID)
     assert alexander(base) == fox_alexander(base)
+
+
+def test_goeritz_oracle_matches_published_values():
+    # In the package's sign convention the positive trefoil has +2.
+    assert goeritz_signature(PDDiagram((), 1)) == (0, 1)
+    assert goeritz_signature(braid_closure(TREFOIL)) == (2, 3)
+    assert goeritz_signature(braid_closure(FIGURE_EIGHT)) == (0, 5)
+    assert goeritz_signature(braid_closure(T27)) == (6, 7)
+    assert goeritz_signature(braid_closure(T34), flip=True) == (6, 3)
+
+
+def test_signature_and_determinant_agree_with_goeritz_oracle(rng):
+    # Gordon-Litherland reads the diagram's faces, not the Seifert matrix
+    # whose constants the package's signature reads, so a wrong constant
+    # shows here; the checkerboard colouring must not matter.
+    diagrams = [
+        braid_closure(random_knot_word(rng, max_strands=8, max_letters=40))
+        for _ in range(150)
+    ]
+    diagrams += [
+        backtrack_randomize(
+            braid_closure(random_knot_word(rng, max_letters=12)), steps=8, seed=seed
+        )
+        for seed in range(16)
+    ]
+    diagrams += [realize_dt(parse_dt(text)) for _, text in BUNDLED_CODES]
+    diagrams.append(braid_closure(BASE_BRAID))
+    for d in diagrams:
+        expected = (signature(d), determinant(d))
+        assert goeritz_signature(d) == expected, d.crossings
+        assert goeritz_signature(d, flip=True) == expected, d.crossings
 
 
 def test_burau_pivots_are_units_at_one(rng):
