@@ -23,9 +23,8 @@ from .braid import (
 from .codes import DTCode, flip_entries, parse_dt, realize_dt, render_dt
 from .diagram import PDDiagram, parse_int_list
 from .errors import InputError
-from .identify import KnotTableEntry, default_table, identify
+from .identify import KnotTableEntry, identify
 from .invariants import (
-    FINGERPRINT_BUDGET,
     Fingerprint,
     fingerprint,
     knot_invariants,
@@ -140,14 +139,16 @@ def _fingerprint(
 
 def check_certificate(
     cert: UnknottingCertificate,
-    table: list[KnotTableEntry] | None = None,
+    table: list[KnotTableEntry],
     log=None,
 ) -> CertificateReport:
     """Verify every link of the chain; any mismatch fails the certificate.
 
-    The final step must reduce to a 0-crossing diagram unless it claims a
-    named knot other than the unknot (certificates may be fragments that
-    stop at a reference knot, such as a torus-knot cascade ending at 7_1).
+    Claims are names in ``table``.  The final step must reduce to a
+    0-crossing diagram unless it claims a named knot other than the unknot
+    (certificates may be fragments that stop at a reference knot, such as
+    a torus-knot cascade ending at 7_1); ``simplify_global`` walks it, on
+    its own default budget.
     ``log``, when given, receives a ``== step N ==`` header before each
     step is checked and the step's report lines as soon as it is done.
 
@@ -159,8 +160,6 @@ def check_certificate(
     an alias only when that equals the entry's fingerprint, and
     ``load_table`` recomputes it so and rejects a file that disagrees.
     """
-    if table is None:
-        table = default_table()
     known: dict[Presentation, Fingerprint] = {
         code: entry.fingerprint for entry in table for code in entry.codes()
     }
@@ -196,7 +195,7 @@ def check_certificate(
             # Walk here, not inside fingerprint: the crossing count of the
             # walked diagram is the verdict, and its invariants need no
             # second walk.
-            result = simplify_global(realize(flipped), budget=FINGERPRINT_BUDGET)
+            result = simplify_global(realize(flipped))
             after = knot_invariants(result)
         else:
             after = _fingerprint(known, flipped)
@@ -324,9 +323,7 @@ def torus_cascade_certificate(k: int, *, mirror: bool = False) -> UnknottingCert
     return UnknottingCertificate(tuple(steps))
 
 
-def composed_torus_bound(
-    k: int, l: int, table: list[KnotTableEntry] | None = None
-) -> int:
+def composed_torus_bound(k: int, l: int, table: list[KnotTableEntry]) -> int:
     """Verified unknotting bound for T(2,2k+1) # mirror T(2,2l+1).
 
     Cascades both summands down to 7_1 and its mirror, then runs the

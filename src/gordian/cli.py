@@ -81,19 +81,12 @@ def _resolve_base(expr: str, table: list[KnotTableEntry]) -> PDDiagram:
     return realize(presentation)
 
 
-def _load_table(args) -> list[KnotTableEntry]:
-    if getattr(args, "table", None):
-        return load_table(args.table)
-    return default_table()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_convert(args) -> int:
-    table = _load_table(args)
+def cmd_convert(args, table: list[KnotTableEntry]) -> int:
     d = _resolve_input(args, table)
     if args.to == "pd":
         text = pd_to_text(d)
@@ -106,8 +99,7 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_invariants(args) -> int:
-    table = _load_table(args)
+def cmd_invariants(args, table: list[KnotTableEntry]) -> int:
     fp = knot_invariants(_resolve_input(args, table))
     print(f"alexander: {fp.alexander.render()}")
     print(f"jones: {fp.jones.render()}")
@@ -117,8 +109,7 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def cmd_simplify(args) -> int:
-    table = _load_table(args)
+def cmd_simplify(args, table: list[KnotTableEntry]) -> int:
     d = _resolve_input(args, table)
     s = simplify_global(d, budget=args.budget, seed=args.seed)
     print(f"crossings: {d.n} -> {s.n}")
@@ -128,8 +119,7 @@ def cmd_simplify(args) -> int:
     return 0
 
 
-def cmd_identify(args) -> int:
-    table = _load_table(args)
+def cmd_identify(args, table: list[KnotTableEntry]) -> int:
     d = _resolve_input(args, table)
     fp = fingerprint(d)
     print(f"fingerprint: {fp.render()}")
@@ -200,8 +190,7 @@ _SEARCH_FLAGS = {
 }
 
 
-def cmd_search(args) -> int:
-    table = _load_table(args)
+def cmd_search(args, table: list[KnotTableEntry]) -> int:
     base = _resolve_base(args.base, table)
     if args.replay is not None:
         given = [f for f, dest in _SEARCH_FLAGS.items() if getattr(args, dest) is not None]
@@ -231,8 +220,7 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_paper(args) -> int:
-    table = _load_table(args)
+def cmd_verify_paper(args, table: list[KnotTableEntry]) -> int:
     print("== summands ==")
     summands_ok, lines = paper_summands(table)
     for line in lines:
@@ -316,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        table = load_table(args.table) if args.table else default_table()
+        code = args.func(args, table)
         # Flush here, so a closed pipe fails inside this try and not in
         # the interpreter's own flush at exit.
         sys.stdout.flush()

@@ -132,14 +132,12 @@ def default_table() -> list[KnotTableEntry]:
 
 
 def identify(
-    d: PDDiagram | Fingerprint, table: list[KnotTableEntry] | None = None
+    d: PDDiagram | Fingerprint, table: list[KnotTableEntry]
 ) -> tuple[str, str] | None:
-    """The table name matching ``d`` and the chirality that matched, or
-    None.  At most one entry matches, since ``_admit`` refuses two names
-    whose fingerprints agree up to mirror; an amphichiral knot matches
-    as listed."""
-    if table is None:
-        table = default_table()
+    """The name in ``table`` matching ``d`` and the chirality that
+    matched, or None.  At most one entry matches, since ``_admit``
+    refuses two names whose fingerprints agree up to mirror; an
+    amphichiral knot matches as listed."""
     fp = d if isinstance(d, Fingerprint) else fingerprint(d)
     fp_mirror = fp.mirrored()
     for entry in table:

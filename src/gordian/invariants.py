@@ -393,7 +393,6 @@ def murasugi_bound(x: PDDiagram | BraidWord | int) -> int:
 # fingerprints
 # ---------------------------------------------------------------------------
 
-FINGERPRINT_BUDGET = 2000
 # Widest bracket frontier, in edge ends, on which a fingerprint skips the
 # walk and the walk reads its span V floor.  Twelve ends have at most 11!!
 # = 10395 matchings, so the bracket is cheap and within MAX_FRONTIER_STATES.
@@ -448,10 +447,10 @@ def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
 
     Greedy simplification shrinks the diagram first.  Only when the
     bracket frontier of the greedy diagram is wider than
-    ``FINGERPRINT_WIDTH`` edge ends does a walk of at most
-    ``FINGERPRINT_BUDGET`` moves, always from seed 0, shrink it further,
-    which keeps the Vogel braid behind Alexander and signature short and
-    the bracket's frontier narrow.  Either way the result is a function of
+    ``FINGERPRINT_WIDTH`` edge ends does ``simplify_global``, on its own
+    default budget and always from seed 0, shrink it further, which keeps
+    the Vogel braid behind Alexander and signature short and the
+    bracket's frontier narrow.  Either way the result is a function of
     the diagram alone.  A caller that has already walked its diagram calls
     ``knot_invariants`` instead.  The bracket contraction raises
     ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier
@@ -463,7 +462,7 @@ def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
         raise InputError("fingerprint expects a one-component diagram")
     g = simplify_greedy(d)
     if _contraction_order(g)[1] > FINGERPRINT_WIDTH:
-        g = simplify_global(g, budget=FINGERPRINT_BUDGET)
+        g = simplify_global(g)
     return knot_invariants(g)
 
 

@@ -16,7 +16,7 @@ from .braid import BraidWord, parse_braid, render_braid, vogel_braid
 from .certify import realize
 from .diagram import PDDiagram, parse_int_list
 from .errors import InputError, ResourceError
-from .identify import KnotTableEntry, default_table, identify
+from .identify import KnotTableEntry, identify
 from .invariants import Fingerprint, fingerprint
 from .moves import backtrack_randomize
 
@@ -34,16 +34,6 @@ class SearchConfig:
             value = getattr(self, name)
             if value < 0:
                 raise InputError(f"{name} must be >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    trial: int
-    seed: int
-    braid: BraidWord  # the braid before any letters were flipped
-    flips: tuple[int, ...]
-    result: str
-    fingerprint: Fingerprint
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -85,33 +75,35 @@ def evaluate_candidate(
     return (name if chirality == "as-listed" else f"{name}(mirror)"), fp
 
 
-def _is_hit(result: str, cfg: SearchConfig) -> bool:
-    """A hit is a result the table identifies, or ``base``.
+def _is_hit(result: str, is_base: bool, cfg: SearchConfig) -> bool:
+    """A hit is a result the table identifies, or the base knot.
 
-    With targets, only a result that names one of them is a hit.
+    With targets, only a result that names one of them is a hit, and a
+    result with the base's fingerprint (``is_base``) is one when ``base``
+    is a target, whatever name the table gives it.
     """
     if cfg.targets:
-        return result.removesuffix("(mirror)") in cfg.targets
+        name = result.removesuffix("(mirror)")
+        return name in cfg.targets or (is_base and "base" in cfg.targets)
     return result != "?"
 
 
 def run_pipeline(
     base: PDDiagram,
     cfg: SearchConfig,
-    table: list[KnotTableEntry] | None = None,
+    table: list[KnotTableEntry],
     log=None,
-) -> list[SearchHit]:
-    """Run all trials; emit one log line per trial via ``log``; return hits.
+) -> list[str]:
+    """Run all trials; emit one log line per trial via ``log``; return the
+    log lines of the hits.
 
     A trial that hits a resource limit (Vogel braiding past s^2 pushes on
     s Seifert circles, a braid with too few letters to flip, or a bracket
     frontier past ``MAX_FRONTIER_STATES``) is skipped, not fatal: the log
     line carries the error type and the search moves on.
     """
-    if table is None:
-        table = default_table()
     base_fp = fingerprint(base)
-    hits: list[SearchHit] = []
+    hits: list[str] = []
     for trial in range(cfg.trials):
         tseed = _trial_seed(cfg.seed, trial)
         rng = random.Random(tseed)
@@ -129,17 +121,18 @@ def run_pipeline(
             if log is not None:
                 log(f"{trial} {tseed} - - skip({type(exc).__name__}) -")
             continue
+        line = _hit_line(trial, tseed, braid, flips, result, fp.render())
         if log is not None:
-            log(_hit_line(trial, tseed, braid, flips, result, fp.render()))
-        if _is_hit(result, cfg):
-            hits.append(SearchHit(trial, tseed, braid, flips, result, fp))
+            log(line)
+        if _is_hit(result, fp == base_fp, cfg):
+            hits.append(line)
     return hits
 
 
 def replay_line(
     line: str,
     base: PDDiagram,
-    table: list[KnotTableEntry] | None = None,
+    table: list[KnotTableEntry],
 ) -> tuple[bool, str]:
     """Recompute a log line from its braid and flips.
 
@@ -151,8 +144,6 @@ def replay_line(
     ``search`` writes them, or a ``skip(...)`` line, which records no braid,
     raises ``InputError``.
     """
-    if table is None:
-        table = default_table()
     fields = line.split()
     if len(fields) != 6:
         raise InputError(f"a hit line has 6 fields, got {len(fields)}")

@@ -220,7 +220,7 @@ def test_criterion_7_search_determinism(table):
         assert log_a == log_b and log_a
         assert hits_a == hits_b
         assert len(hits_a) == cfg.trials  # 100% of k=0 trials self-identify
-        assert all(h.result == "base" for h in hits_a)
+        assert all(h.split()[4] == "base" for h in hits_a)
         result, _fp = evaluate_candidate(
             BASE_BRAID, (0, 1), fingerprint(base), table
         )

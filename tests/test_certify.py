@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gordian import certify
+from gordian import certify, moves
 from gordian.braid import BraidWord
 from gordian.certify import (
     BASE_BRAID,
@@ -244,8 +244,10 @@ def test_paper_certificate_fails_when_the_final_walk_is_cut_short(
     table, monkeypatch
 ):
     # The final step walks its own diagram; fingerprints of small diagrams
-    # never walk, so only this walk's budget decides the unknot verdict.
-    monkeypatch.setattr(certify, "FINGERPRINT_BUDGET", 5)
+    # never walk, so only this walk's length decides the unknot verdict.
+    # Ending it at its first move that does not shrink the diagram cuts it
+    # short.
+    monkeypatch.setattr(moves, "STALL_MOVES", 1)
     report = check_certificate(paper_certificate(), table)
     assert not report.passed
     assert "FAIL: final diagram only reduced to" in report.render()

@@ -288,6 +288,11 @@ def test_table_dt_errors_name_their_line(capsys, tmp_path, dt, reason):
         ["search", "--base", "7_1", "--config", "{tmp}/binary.cfg"],
         ["search", "--base", "7_1", "--config", "{tmp}/missing.cfg"],
         ["identify", "--name", "7_1", "--table", "{tmp}/missing.tsv"],
+        ["convert", "--name", "7_1", "--to", "dt", "--table", "{tmp}/missing.tsv"],
+        ["invariants", "--name", "7_1", "--table", "{tmp}/missing.tsv"],
+        ["simplify", "--name", "7_1", "--table", "{tmp}/missing.tsv"],
+        ["verify-paper", "--table", "{tmp}/missing.tsv"],
+        ["search", "--base", "7_1", "--seed", "5", "--table", "{tmp}/missing.tsv"],
         ["search", "--base", "7_1", "--seed", "5", "--k", "-1"],
         ["search", "--base", "7_1", "--seed", "5", "--trials", "-3"],
         [
@@ -310,6 +315,11 @@ def test_table_dt_errors_name_their_line(capsys, tmp_path, dt, reason):
         "config-not-utf8",
         "config-missing",
         "table-missing",
+        "table-missing-convert",
+        "table-missing-invariants",
+        "table-missing-simplify",
+        "table-missing-verify-paper",
+        "table-missing-search",
         "negative-k",
         "negative-trials",
         "replay-flip-not-integer",
@@ -416,7 +426,8 @@ def test_search_base_accepts_a_dt_presentation(capsys):
     assert code == 0
     log = []
     cfg = SearchConfig(seed=5, trials=2, k_changes=1)
-    hits = run_pipeline(realize_dt(parse_dt("[4, 6, 2]")), cfg, log=log.append)
+    base = realize_dt(parse_dt("[4, 6, 2]"))
+    hits = run_pipeline(base, cfg, default_table(), log=log.append)
     assert out.splitlines() == [*log, f"hits: {len(hits)} of 2 trials"]
 
 
@@ -483,6 +494,18 @@ def test_search_targets_are_stripped_and_must_be_known(capsys, tmp_path):
         assert run(capsys, *argv, "--targets", given) == (2, "", expected)
         cfg.write_text(f"targets={given}\n")
         assert run(capsys, *argv, "--config", str(cfg)) == (2, "", expected)
+
+
+@pytest.mark.parametrize("base, result", [("7_1", "7_1"), ("~7_1", "7_1(mirror)")])
+def test_base_target_counts_a_table_knot_base(capsys, base, result):
+    # With --k 0 every trial has the base's fingerprint.  A table knot base
+    # is logged under its table name, and the base target still counts it.
+    argv = ["search", "--base", base, "--seed", "1", "--trials", "2", "--k", "0"]
+    code, out, _ = run(capsys, *argv, "--targets", "base")
+    lines = out.splitlines()
+    assert code == 0
+    assert [line.split()[4] for line in lines[:-1]] == [result, result]
+    assert lines[-1] == "hits: 2 of 2 trials"
 
 
 def test_search_config_file_rejects_unknown_keys(capsys, tmp_path):

@@ -39,7 +39,6 @@ from gordian.diagram import PDDiagram
 from gordian.errors import InputError, ResourceError, UnrealizableError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
-    FINGERPRINT_BUDGET,
     FINGERPRINT_WIDTH,
     _contraction_order,
     _symmetric_signature,
@@ -594,7 +593,7 @@ def test_gated_fingerprint_equals_walked_invariants(gate_corpus):
     widths = [w for _, _, w in gate_corpus]
     assert min(widths) <= FINGERPRINT_WIDTH < max(widths)
     for d, _, _ in gate_corpus:
-        walked = simplify_global(d, budget=FINGERPRINT_BUDGET)
+        walked = simplify_global(d)
         assert fingerprint(d) == knot_invariants(walked)
 
 

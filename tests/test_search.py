@@ -57,8 +57,8 @@ def test_zero_changes_always_selfidentify(table, base):
     cfg = SearchConfig(seed=1, trials=5, k_changes=0)
     hits = run_pipeline(base, cfg, table)
     assert len(hits) == 5
-    assert all(h.result == "base" for h in hits)
-    assert all(h.flips == () for h in hits)
+    assert all(h.split()[4] == "base" for h in hits)
+    assert all(h.split()[3] == "[]" for h in hits)
 
 
 def test_hit_braids_close_to_the_base_knot(table, base):
@@ -67,7 +67,7 @@ def test_hit_braids_close_to_the_base_knot(table, base):
     base_fp = fingerprint(base)
     cfg = SearchConfig(seed=6, trials=3, k_changes=0)
     for hit in run_pipeline(base, cfg, table):
-        assert fingerprint(braid_closure(hit.braid)) == base_fp
+        assert fingerprint(braid_closure(parse_braid(hit.split()[2]))) == base_fp
 
 
 def test_log_line_format_and_replay(table, base):
@@ -181,10 +181,18 @@ def test_targets_filter_hits(table, base):
 def test_is_hit_counts_identified_results():
     # A hit is a result the table identifies, or the base knot itself.
     cfg = SearchConfig(seed=1)
-    assert _is_hit("K14a18636", cfg)
-    assert _is_hit("7_1(mirror)", cfg)
-    assert _is_hit("base", cfg)
-    assert not _is_hit("?", cfg)
+    assert _is_hit("K14a18636", False, cfg)
+    assert _is_hit("7_1(mirror)", False, cfg)
+    assert _is_hit("base", True, cfg)
+    assert _is_hit("7_1", True, cfg)
+    assert not _is_hit("?", False, cfg)
     targeted = SearchConfig(seed=1, targets=("K12n412",))
-    assert _is_hit("K12n412(mirror)", targeted)
-    assert not _is_hit("K14a18636", targeted)
+    assert _is_hit("K12n412(mirror)", False, targeted)
+    assert not _is_hit("K14a18636", False, targeted)
+    assert not _is_hit("base", True, targeted)
+    # The base target is the base's fingerprint, whatever the table calls it.
+    on_base = SearchConfig(seed=1, targets=("base",))
+    assert _is_hit("base", True, on_base)
+    assert _is_hit("7_1(mirror)", True, on_base)
+    assert not _is_hit("7_1(mirror)", False, on_base)
+    assert not _is_hit("?", False, on_base)
