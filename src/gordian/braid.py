@@ -212,10 +212,11 @@ def vogel_braid(d: PDDiagram) -> BraidWord:
         for key in dropped:
             pair_at.pop(key, None)
         check = {face[0]: face for face in traced}
-        # The darts of the push's two new crossings lie on traced faces.
-        new = sorted({x for face in traced for x in face} - circle.keys())
+        # Pushes only add crossings, whose ids count up from the copy's
+        # 0..n-1, so this push's two crossings have the two greatest ids.
+        top = 4 * len(ed.signs)
         kept: set[int] = set()
-        for start in filter(ed.is_out_dart, new):
+        for start in filter(ed.is_out_dart, range(top - 8, top)):
             if start in circle:
                 continue  # on a circle traced from an earlier start
             darts = _circle(ed, start)

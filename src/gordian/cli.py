@@ -154,7 +154,7 @@ def _merge_search_config(args) -> SearchConfig:
     """Command-line flags win over the config file; ``SearchConfig`` holds
     every default.  The config keys are its field names, and so are the
     flags' destinations."""
-    opts = _read_config_file(args.config) if args.config else {}
+    opts = _read_config_file(args.config) if args.config is not None else {}
     keys = [f.name for f in fields(SearchConfig)]
     unknown = set(opts) - set(keys)
     if unknown:
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        table = load_table(args.table) if args.table else default_table()
+        table = load_table(args.table) if args.table is not None else default_table()
         code = args.func(args, table)
         # Flush here, so a closed pipe fails inside this try and not in
         # the interpreter's own flush at exit.

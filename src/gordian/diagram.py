@@ -136,23 +136,6 @@ class PDDiagram:
         return f"PDDiagram({self.n} crossings, {self.component_count} components)"
 
 
-def small_face(partner: dict[Dart, Dart], d: Dart) -> tuple[Dart, ...] | None:
-    """The face through ``d`` if it has at most three darts, starting at its
-    least dart; otherwise None.  At most three steps of the orbit."""
-    x = partner[d]
-    x = x + 1 if x & 3 != 3 else x - 3
-    if x == d:
-        return (d,)
-    y = partner[x]
-    y = y + 1 if y & 3 != 3 else y - 3
-    if y == d:
-        return (d, x) if d < x else (x, d)
-    z = partner[y]
-    if (z + 1 if z & 3 != 3 else z - 3) != d:
-        return None
-    return min((d, x, y), (x, y, d), (y, d, x))
-
-
 def interlacement(sequence: list[int]) -> tuple[list[int], list[list[int]]]:
     """Interlacement graph of a closed strand through crossings ``0..n-1``.
 
@@ -321,12 +304,15 @@ def negate_at(values: tuple[int, ...], positions) -> tuple[int, ...]:
 class Editor:
     """Mutable diagram that the move loops rewrite in place.
 
-    Crossings have stable integer ids; the edge structure is a partner map
-    on integer darts.  ``to_diagram`` compacts ids in increasing order and
-    assigns dense edge labels in strand-traversal order, so equal editors
-    yield equal diagrams.  Because compaction keeps the order of ids,
-    anything ordered by dart (faces, and the sites found on them) comes out
-    in the same order on an editor as on the diagram it relabels to.
+    Crossings have stable integer ids: ``from_diagram`` numbers the copied
+    crossings 0..n-1, and ``new_crossing`` hands out ids in increasing
+    order after every id given so far, never reusing one.  The edge
+    structure is a partner map on integer darts.  ``to_diagram`` compacts
+    ids in increasing order and assigns dense edge labels in
+    strand-traversal order, so equal editors yield equal diagrams.  Because
+    compaction keeps the order of ids, anything ordered by dart (faces, and
+    the sites found on them) comes out in the same order on an editor as on
+    the diagram it relabels to.
 
     A *pass* is one strand's trip through a crossing, from its entry dart
     to its exit dart; each crossing has an under pass and an over pass.

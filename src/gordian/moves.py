@@ -18,24 +18,21 @@ crossing, and so bounds a one-dart face; a reducible R2 site is a
 two-sided face whose strands keep their over/under roles at both
 crossings; a triangle (R3) site is a three-sided face among three
 distinct crossings where one edge is over at both of its ends or under
-at both.  Increasing moves come in parameterized families and are
-sampled rather than enumerated.
+at both.  The editor's face index is the only place the move loops learn
+about sites: the reduction loops take the first reducing site from a lazy
+generator over it, and the greedy pass probes a triangle slide by making
+it, asking the index whether any reducing site now exists, and undoing it.
+Increasing moves come in parameterized families and are sampled rather
+than enumerated.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .diagram import (
-    Crossing,
-    Dart,
-    Editor,
-    PDDiagram,
-    interlacement,
-    out_slots,
-    small_face,
-)
+from .diagram import Crossing, Dart, Editor, PDDiagram, interlacement, out_slots
 from .errors import InputError, InternalError
 
 
@@ -83,11 +80,6 @@ def _editor(x: PDDiagram | Editor) -> Editor:
     return x if isinstance(x, Editor) else Editor.from_diagram(x)
 
 
-def _is_kink(adj: dict[Dart, Dart], dart: Dart) -> bool:
-    """Whether the edge at ``dart`` has both ends at one crossing."""
-    return adj[dart] >> 2 == dart >> 2
-
-
 def _keeps_level(adj: dict[Dart, Dart], dart: Dart) -> bool:
     """Whether the edge at ``dart`` is over at both ends or under at both
     (over slots are odd)."""
@@ -101,26 +93,38 @@ def _is_reducible_bigon(adj: dict[Dart, Dart], face: tuple[Dart, ...]) -> bool:
             and _keeps_level(adj, face[0]))
 
 
-def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
+def _reducing_sites(ed: Editor) -> Iterator[Move]:
     """Reducible R2 sites in face order, then R1 sites in edge-label order.
 
     A kink is a one-dart face: in a planar diagram an edge with both ends
     at one crossing joins adjacent slots, so it bounds a monogon.  Several
-    kinks are ordered by the rank of each kink edge's tail.
+    kinks are ordered by the rank of each kink edge's tail, which walks
+    every strand, so only a caller that reads past the bigons pays for it.
+    The editor must not change while the generator is read.
     """
-    ed = _editor(x)
     adj = ed.adj
-    moves = [
-        Move("R2-", (face[0] >> 2, face[1] >> 2))
-        for face in ed.faces_of_size(2)
-        if _is_reducible_bigon(adj, face)
-    ]
+    for face in ed.faces_of_size(2):
+        if _is_reducible_bigon(adj, face):
+            yield Move("R2-", (face[0] >> 2, face[1] >> 2))
     kinks = [face[0] for face in ed.faces_of_size(1)]
     if len(kinks) > 1:
         rank = ed.tail_rank()
         kinks.sort(key=lambda d: rank[d] if d in rank else rank[adj[d]])
-    moves.extend(Move("R1-", (d >> 2,)) for d in kinks)
-    return moves
+    for d in kinks:
+        yield Move("R1-", (d >> 2,))
+
+
+def _has_reducing_site(ed: Editor) -> bool:
+    """Whether a kink or a reducible bigon exists: no kink order needed."""
+    return bool(ed.faces_of_size(1)) or any(
+        _is_reducible_bigon(ed.adj, face) for face in ed.faces_of_size(2)
+    )
+
+
+def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
+    """Every reducing site: reducible R2 sites in face order, then R1
+    sites in edge-label order."""
+    return list(_reducing_sites(_editor(x)))
 
 
 def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
@@ -134,16 +138,6 @@ def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
             if _keeps_level(ed.adj, face[p]):
                 moves.append(Move("R3", (face, p)))
     return moves
-
-
-def find_moves(x: PDDiagram | Editor) -> dict[str, list[Move]]:
-    """All reducing and triangle sites, grouped by kind."""
-    ed = _editor(x)
-    grouped: dict[str, list[Move]] = {"R1-": [], "R2-": [], "R3": []}
-    for m in find_reducing_moves(ed):
-        grouped[m.kind].append(m)
-    grouped["R3"] = find_r3_moves(ed)
-    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +248,21 @@ def sample_increasing_move(x: PDDiagram | Editor, rng: random.Random) -> Move | 
 def _reduce_fully(ed: Editor) -> bool:
     """Take the first reducing site until none is left; True if any was."""
     reduced = False
-    while moves := find_reducing_moves(ed):
-        apply_move(ed, moves[0])
+    while move := next(_reducing_sites(ed), None):
+        apply_move(ed, move)
         reduced = True
     return reduced
-
-
-def _exposes_reduction(adj: dict[Dart, Dart], crossings: set[int]) -> bool:
-    """Whether a kink or a reducible bigon has a dart at ``crossings``."""
-    darts = [d for c in crossings for d in range(4 * c, 4 * c + 4)]
-    return any(_is_kink(adj, d) for d in darts) or any(
-        _is_reducible_bigon(adj, small_face(adj, d) or ()) for d in darts
-    )
 
 
 def simplify_greedy(d: PDDiagram) -> PDDiagram:
     """Monotone simplification: exhaust reducing moves, then try each
     triangle slide and keep it only if it exposes a new reduction.
 
-    No reducing site is left when slides are tried, so a slide can expose
-    one only at a dart of its three crossings.  Each slide is therefore
-    tried in place, checked there and undone; only a kept slide is made.
+    Slides are tried only once no reducing site is left, so any site that
+    exists after a slide is one the slide exposed.  Each slide is made in
+    place with ``Editor.rewire``, the editor's face index is asked whether
+    any reducing site now exists, and the slide is undone; a kept slide is
+    then made again through ``apply_move``.
     """
     ed = Editor.from_diagram(d)
     changed = _reduce_fully(ed)
@@ -283,7 +271,7 @@ def simplify_greedy(d: PDDiagram) -> PDDiagram:
         progress = False
         for move in find_r3_moves(ed):
             undo = ed.rewire(_slide(ed.adj, move.site))
-            exposed = _exposes_reduction(ed.adj, {d >> 2 for d in move.site[0]})
+            exposed = _has_reducing_site(ed)
             ed.rewire(undo)
             if exposed:
                 apply_move(ed, move)
@@ -329,10 +317,10 @@ def simplify_global(
         if best.n <= floor or stale == STALL_MOVES:
             break
         move = None
-        reducing = find_reducing_moves(ed)
+        reducing = next(_reducing_sites(ed), None)
         descend = rng.random() < 0.7
         if descend and reducing:
-            move = reducing[0]
+            move = reducing
         else:
             r3 = find_r3_moves(ed)
             can_grow = len(ed.signs) < cap
@@ -341,7 +329,7 @@ def simplify_global(
             elif can_grow:
                 move = sample_increasing_move(ed, rng)
             elif reducing:
-                move = reducing[0]
+                move = reducing
         if move is None:
             break
         apply_move(ed, move)

@@ -18,7 +18,13 @@ from gordian.diagram import (
 from gordian.errors import InternalError
 from gordian.invariants import _SMOOTHINGS, _contraction_order, seifert_matrix
 from gordian.laurent import LaurentPoly
-from gordian.moves import Move, apply_move, backtrack_randomize
+from gordian.moves import (
+    Move,
+    apply_move,
+    backtrack_randomize,
+    find_r3_moves,
+    find_reducing_moves,
+)
 
 
 def random_knot_word(
@@ -60,6 +66,15 @@ def random_link_diagram(
         for _ in range(rng.randint(1, max_letters))
     ]
     return braid_closure(BraidWord.from_letters(letters, strands))
+
+
+def sites_by_kind(d) -> dict[str, list]:
+    """Every kink, reducible bigon and triangle site of ``d``, grouped by
+    move kind in the order "R1-", "R2-", "R3"."""
+    grouped = {"R1-": [], "R2-": [], "R3": find_r3_moves(d)}
+    for move in find_reducing_moves(d):
+        grouped[move.kind].append(move)
+    return grouped
 
 
 def editing_corpus(rng: random.Random, count: int) -> list:

@@ -39,13 +39,17 @@ from gordian.moves import (
     apply_move,
     connected_sum,
     deconnect_sum,
-    find_moves,
     mirror,
     sample_increasing_move,
     simplify_global,
 )
 from gordian.search import SearchConfig, evaluate_candidate, run_pipeline
-from tests.conftest import int_det, random_knot_diagram, two_edge_cut_split
+from tests.conftest import (
+    int_det,
+    random_knot_diagram,
+    sites_by_kind,
+    two_edge_cut_split,
+)
 
 
 class _verdict:
@@ -154,7 +158,7 @@ def test_criterion_6_property_suites():
             d = random_knot_diagram(rng, max_crossings=12)
             fp = fingerprint(d)
             for _ in range(3):
-                grouped = find_moves(d)
+                grouped = sites_by_kind(d)
                 kinds = [k for k, ms in grouped.items() if ms]
                 if kinds and rng.random() < 0.6:
                     move = rng.choice(grouped[rng.choice(kinds)])

@@ -340,6 +340,23 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["identify", "--name", "7_1", "--table", ""], "table"),
+        (["search", "--base", "7_1", "--seed", "1", "--config", ""], "config"),
+    ],
+    ids=["table", "config"],
+)
+def test_an_empty_path_is_refused_like_any_unreadable_one(capsys, argv, what):
+    # An empty path is a path, not an absent flag: it must not fall back to
+    # the bundled table or to no config file.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {what} file: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_long_braid_letter_is_refused_promptly():
     # The closure has about 10**20 free loops; counting them must not walk
     # every strand height.

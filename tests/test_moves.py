@@ -29,7 +29,6 @@ from gordian.moves import (
     connected_sum,
     crossing_change,
     deconnect_sum,
-    find_moves,
     find_r3_moves,
     find_reducing_moves,
     mirror,
@@ -49,6 +48,7 @@ from tests.conftest import (
     reference_simplify_greedy,
     reference_vogel_braid,
     relabelled,
+    sites_by_kind,
     two_edge_cut_split,
     wired_push_arc_over,
     wired_r1_plus,
@@ -64,7 +64,7 @@ def figure_eight():
 
 
 def _random_move(d, rng):
-    grouped = find_moves(d)
+    grouped = sites_by_kind(d)
     kinds = [k for k, ms in grouped.items() if ms]
     if kinds and rng.random() < 0.6:
         kind = rng.choice(kinds)
@@ -307,6 +307,75 @@ def test_reducing_moves_reduce(rng):
             out = apply_move(d, move)
             assert out.n < d.n
             assert validate_pd(out) == []
+
+
+def test_the_first_reducing_site_is_the_first_listed(rng, monkeypatch):
+    # The reduction loops take the lazy generator's first site; before
+    # every move of random scrambles and walks it must be the first site of
+    # the full list, and of the rebuild-per-move reference on the diagram
+    # the editor relabels to (ids compact in increasing order).
+    real = moves.apply_move
+    seen = Counter()
+
+    def checked(x, move):
+        if isinstance(x, Editor):
+            first = next(moves._reducing_sites(x), None)
+            listed = find_reducing_moves(x)
+            assert first == (listed[0] if listed else None)
+            ids = sorted(x.signs)
+            ref = reference_reducing_moves(x.to_diagram())
+            assert first == (
+                Move(ref[0].kind, tuple(ids[c] for c in ref[0].site)) if ref else None
+            )
+            kind = first.kind if first else None
+            seen[kind] += 1
+            seen["ordered kinks"] += kind == "R1-" and len(listed) > 1
+        return real(x, move)
+
+    monkeypatch.setattr(moves, "apply_move", checked)
+    for _ in range(40):
+        d = braid_closure(random_knot_word(rng, 5, 24, 14))
+        scramble = backtrack_randomize(d, rng.randint(5, 40), seed=rng.randrange(10**6))
+        simplify_global(scramble, budget=rng.randint(0, 200), seed=rng.randrange(10**6))
+    assert seen["R2-"] >= 500 and seen["R1-"] >= 100 and seen[None] >= 300
+    assert seen["ordered kinks"] >= 100  # a kink first among two or more
+
+
+def _reduced(d):
+    # The diagram with every reducing site taken: where greedy probes.
+    ed = Editor.from_diagram(d)
+    moves._reduce_fully(ed)
+    return ed.to_diagram()
+
+
+def test_greedy_probe_keeps_a_slide_iff_it_exposes_a_reducing_site(rng, monkeypatch):
+    # Greedy probes the slides of a diagram with no reducing site in site
+    # order and keeps the first one after which the index finds a site.
+    # Each answer must agree with listing the sites of the slid diagram.
+    real = moves._has_reducing_site
+    answers = []
+    monkeypatch.setattr(
+        moves, "_has_reducing_site", lambda ed: answers.append(real(ed)) or answers[-1]
+    )
+    diagrams = [realize_dt(parse_dt(code)) for _, code in BUNDLED_CODES]
+    while len(diagrams) < len(BUNDLED_CODES) + 100:
+        d = braid_closure(random_knot_word(rng, 5, 24, 14))
+        diagrams.append(backtrack_randomize(d, rng.randint(10, 40), seed=rng.randrange(10**6)))
+    kept = Counter()
+    for d in map(_reduced, diagrams):
+        assert find_reducing_moves(d) == []
+        expected = []
+        for move in find_r3_moves(d):
+            expected.append(bool(find_reducing_moves(apply_move(d, move))))
+            if expected[-1]:
+                break
+        answers.clear()
+        simplify_greedy(d)
+        assert answers[: len(expected)] == expected
+        kept[any(expected)] += 1
+        kept["probes"] += len(expected)
+    assert kept[True] >= 30 and kept[False] >= len(BUNDLED_CODES)
+    assert kept["probes"] >= 150
 
 
 def test_push_arc_over_refuses_two_darts_on_one_edge():
