@@ -525,6 +525,9 @@ class Editor:
         odd number of others (Gauss), leaves a rotation system that
         ``validate_pd`` rejects.  Kinks, reducible bigons and the whole
         interlacement pieces of a knot that ``deconnect_sum`` keeps qualify.
+        Strand pickup removes a run's crossings, which need not qualify, and
+        threads the run back along a route through the faces before any
+        face is read.
         """
         self._rank = None
         adj = self.adj

@@ -24,11 +24,22 @@ generator over it, and the greedy pass probes a triangle slide by making
 it, asking the index whether any reducing site now exists, and undoing it.
 Increasing moves come in parameterized families and are sampled rather
 than enumerated.
+
+``simplify_global`` runs three stages.  The greedy pass takes reducing
+moves and keeps a triangle slide only if it exposes one.  Strand pickup
+then lifts a knot's maximal over- or under-runs, each laid back along a
+shortest route through the dual graph when that route crosses fewer
+edges.  Its result stands if it has no crossing or at most span V of them,
+the Jones-span floor.  Otherwise the randomized walk runs from the greedy
+diagram, and the smaller of the two results wins, the walk's on a tie.
+Pickup rewrites an editor with ``smooth_out`` and ``thread`` rather than
+``apply_move``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -254,17 +265,9 @@ def _reduce_fully(ed: Editor) -> bool:
     return reduced
 
 
-def simplify_greedy(d: PDDiagram) -> PDDiagram:
-    """Monotone simplification: exhaust reducing moves, then try each
-    triangle slide and keep it only if it exposes a new reduction.
-
-    Slides are tried only once no reducing site is left, so any site that
-    exists after a slide is one the slide exposed.  Each slide is made in
-    place with ``Editor.rewire``, the editor's face index is asked whether
-    any reducing site now exists, and the slide is undone; a kept slide is
-    then made again through ``apply_move``.
-    """
-    ed = Editor.from_diagram(d)
+def _greedy(ed: Editor) -> bool:
+    """Simplify ``ed`` greedily in place (see ``simplify_greedy``); True if
+    any move was made."""
     changed = _reduce_fully(ed)
     progress = True
     while progress and ed.signs:
@@ -278,6 +281,141 @@ def simplify_greedy(d: PDDiagram) -> PDDiagram:
                 _reduce_fully(ed)
                 progress = changed = True
                 break
+    return changed
+
+
+def simplify_greedy(d: PDDiagram) -> PDDiagram:
+    """Monotone simplification: exhaust reducing moves, then try each
+    triangle slide and keep it only if it exposes a new reduction.
+
+    Slides are tried only once no reducing site is left, so any site that
+    exists after a slide is one the slide exposed.  Each slide is made in
+    place with ``Editor.rewire``, the editor's face index is asked whether
+    any reducing site now exists, and the slide is undone; a kept slide is
+    then made again through ``apply_move``.
+    """
+    ed = Editor.from_diagram(d)
+    return ed.to_diagram() if _greedy(ed) else d
+
+
+# ---------------------------------------------------------------------------
+# strand pickup
+# ---------------------------------------------------------------------------
+#
+# A run is a maximal stretch of the strand that passes over every crossing
+# it meets, or under every one.  Lifted off the diagram, it can be laid
+# back on its own level along any route between its two ends, crossing
+# each edge it meets once (Dunfield and Obeidin; SnapPy/spherogram's
+# global simplification).  A shorter route is an isotopy that removes
+# crossings.
+
+
+def _runs(ed: Editor) -> Iterator[list[Dart]]:
+    """The runs of a knot in the order of their first pass along its
+    strand, walked from the first edge tail in label order.  Each run is
+    the tails of its edges: the edge into its first pass, then the exit of
+    each pass."""
+    adj = ed.adj
+    start = next(iter(ed.tail_rank()))
+    exits = [adj[start] ^ 2]  # the exit of each pass, the last at ``start``
+    while exits[-1] != start:
+        exits.append(adj[exits[-1]] ^ 2)
+    m = len(exits)
+    for i in range(m):
+        if (exits[i] ^ exits[i - 1]) & 1:  # over slots are odd
+            j = i
+            while not (exits[(j + 1) % m] ^ exits[i]) & 1:
+                j += 1
+            yield [exits[p % m] for p in range(i - 1, j + 1)]
+
+
+def _pick_up(ed: Editor, run: list[Dart]) -> bool:
+    """Lay ``run`` back along a shortest route if that crosses fewer edges
+    than the run has crossings; True if it did.
+
+    The route is found in the dual graph of the diagram with the run
+    lifted: a 0-1 BFS over the editor's faces from the run's far end, where
+    crossing one of the run's own edges costs nothing, is cut at the run's
+    length.  The route then starts at the run's near end and, each time,
+    leaves the faces joined to its current face through the run's edges by
+    the least dart whose edge leads one step closer.  A run that ends at
+    one of its own crossings is left alone.
+    """
+    adj = ed.adj
+    crossings = {t >> 2 for t in run[1:]}
+    k = len(crossings)
+    if run[0] >> 2 in crossings or adj[run[-1]] >> 2 in crossings:
+        return False
+    lifted = set(run).union(adj[t] for t in run)
+    ed.retrace_faces()
+
+    def key(x: Dart) -> Dart:
+        return ed.face_of(x)[0]
+
+    far = key(run[-1])
+    dist = {far: 0}
+    queue = deque([far])
+    while queue:
+        f = queue.popleft()
+        for x in ed.face_of(f):
+            g = key(adj[x])
+            w = x not in lifted
+            if dist[f] + w < dist.get(g, k):
+                dist[g] = dist[f] + w
+                if w:
+                    queue.append(g)
+                else:
+                    queue.appendleft(g)
+    f = key(run[0])
+    if f not in dist:
+        return False
+    route: list[Dart] = []  # the dart on the near side of each edge crossed
+    while dist[f]:
+        joined, stack = {f}, [f]
+        while stack:
+            for x in ed.face_of(stack.pop()):
+                if x in lifted and (g := key(adj[x])) not in joined:
+                    joined.add(g)
+                    stack.append(g)
+        x = min(
+            x for g in joined for x in ed.face_of(g)
+            if x not in lifted and dist.get(key(adj[x])) == dist[f] - 1
+        )
+        route.append(x)
+        f = key(adj[x])
+    # A face lies to the right of each of its darts' edges, walked from
+    # the dart: the route crosses an edge from its right when it leaves
+    # from the edge's tail, and then the crossing is positive if the run is
+    # on top.  Each crossed edge is threaded from the tail it keeps once
+    # the run's crossings are gone.  Until the run is threaded back, the
+    # edge that joins its ends need not draw in the plane.
+    over = bool(run[1] & 1)
+    signs, tails = [], []
+    for x in route:
+        out = ed.is_out_dart(x)
+        signs.append(1 if out == over else -1)
+        tail = x if out else adj[x]
+        while tail >> 2 in crossings:
+            tail = adj[tail ^ 2]
+        tails.append(tail)
+    ed.smooth_out(crossings)
+    passes = [ed.passes(ed.new_crossing(sign)) for sign in signs]
+    for (under, top), tail in zip(passes, tails):
+        ed.thread(tail, [under if over else top])
+    ed.thread(run[0], [top if over else under for under, top in passes])
+    return True
+
+
+def _pickup(d: PDDiagram) -> PDDiagram:
+    """Pick up runs of a knot, each time the first that gets shorter, and
+    simplify greedily after each, until no run gets shorter."""
+    ed = Editor.from_diagram(d)
+    changed = False
+    # ``any`` stops at the first run picked up, so no run is read from a
+    # strand that the pickup has changed.
+    while ed.signs and any(_pick_up(ed, run) for run in _runs(ed)):
+        _greedy(ed)
+        changed = True
     return ed.to_diagram() if changed else d
 
 
@@ -288,28 +426,42 @@ STALL_MOVES = 600
 def simplify_global(
     d: PDDiagram, *, budget: int = 10_000, seed: int = 0
 ) -> PDDiagram:
-    """Randomized simplification walk, returning the smallest diagram seen.
+    """Greedy simplification, then strand pickup, then a randomized walk,
+    returning the smallest diagram.
 
-    Mostly descends (taking reducing moves when available, triangle slides
-    otherwise) but occasionally explores through increasing moves.  The walk
-    ends at a diagram of span V crossings, after ``STALL_MOVES`` moves in a
-    row that do not improve on the best diagram, or after ``budget`` moves,
-    whichever comes first.  No diagram of a knot has fewer crossings than
-    span V, the span of its Jones polynomial (Kauffman, Murasugi,
-    Thistlethwaite); it is read off a greedy knot diagram whose bracket
-    frontier is at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise
-    or at budget 0.  Deterministic in ``seed``.  The walk rewrites one
-    editor and relabels only when it records a new best diagram.
+    At budget 0 the greedy diagram comes back.  Otherwise a knot's runs are
+    picked up on a copy of the greedy diagram (see ``_pick_up``), and that
+    result returns at once when it has no crossing, or when it has at most
+    span V crossings: no diagram of a knot has fewer crossings than span V,
+    the span of its Jones polynomial (Kauffman, Murasugi, Thistlethwaite).
+    The floor is read off the greedy diagram when its bracket frontier is
+    at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise.
+
+    Otherwise the walk starts from the greedy diagram.  It mostly descends
+    (taking reducing moves when available, triangle slides otherwise) but
+    occasionally explores through increasing moves.  It ends at a diagram
+    of span V crossings, after ``STALL_MOVES`` moves in a row that do not
+    improve on the best diagram, or after ``budget`` moves, whichever comes
+    first.  The pickup result replaces the walk's smallest diagram only if
+    it has fewer crossings.  Deterministic in ``seed``.  The walk rewrites
+    one editor and relabels only when it records a new best diagram.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
     from .invariants import FINGERPRINT_WIDTH, _contraction_order, jones
-    rng = random.Random(seed)
     best = simplify_greedy(d)
+    if not budget:
+        return best
+    picked = _pickup(best) if best.is_knot else best
+    if not picked.n:
+        return picked
     floor = 0
-    if budget and best.is_knot and best.n and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
+    if best.is_knot and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
         v = jones(best)
         floor = v.max_exp() - v.min_exp()
+    if picked.n <= floor:
+        return picked
+    rng = random.Random(seed)
     ed = Editor.from_diagram(best)
     cap = max(best.n + 8, 14)
     stale = 0
@@ -338,7 +490,7 @@ def simplify_global(
             stale = 0
         else:
             stale += 1
-    return best
+    return picked if picked.n < best.n else best
 
 
 def backtrack_randomize(d: PDDiagram, steps: int = 30, *, seed: int = 0) -> PDDiagram:

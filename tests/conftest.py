@@ -16,7 +16,12 @@ from gordian.diagram import (
     out_slots,
 )
 from gordian.errors import InternalError
-from gordian.invariants import _SMOOTHINGS, _contraction_order, seifert_matrix
+from gordian.invariants import (
+    _SMOOTHINGS,
+    FINGERPRINT_WIDTH,
+    _contraction_order,
+    seifert_matrix,
+)
 from gordian.laurent import LaurentPoly
 from gordian.moves import (
     Move,
@@ -663,9 +668,145 @@ def reference_simplify_greedy(d):
     return d
 
 
+def reference_runs(d) -> list[list[int]]:
+    """The runs of knot diagram ``d``, stretches of its strand that pass
+    every crossing they meet on one level, as the edge labels each lifts:
+    the edge into its first pass, then the edge out of each pass.  The
+    strand is walked from its lowest edge label, pass i entered from the
+    i-th edge, and runs come in the order of their first pass."""
+    edges = d.components[0]
+    m = len(edges)
+    over = [d.edge_ends[e][1] % 4 in (1, 3) for e in edges]
+    runs = []
+    for i in range(m):
+        if over[i] != over[i - 1]:
+            j = i
+            while over[(j + 1) % m] == over[i]:
+                j += 1
+            runs.append([edges[k % m] for k in range(i, j + 2)])
+    return runs
+
+
+def reference_pick_up(d, run):
+    """The diagram with ``run`` laid back along a shortest route, or None
+    if no route crosses fewer edges than the run has crossings.
+
+    Faces joined through the run's edges are merged by union-find, and a
+    breadth-first search over the merged faces measures each one's
+    distance from the run's far end.  The route leaves each merged face by
+    the least dart whose edge, not one of the run's, leads one step closer.
+    The run's crossings are removed by the boundary walk and the new
+    crossings wired case by case.
+    """
+    ends = d.edge_ends
+    partner = d.dart_partner
+    crossings = {ends[e][1] >> 2 for e in run[:-1]}
+    if ends[run[0]][0] >> 2 in crossings or ends[run[-1]][1] >> 2 in crossings:
+        return None
+    lifted = {x for e in run for x in ends[e]}
+    face_of = {x: i for i, face in enumerate(d.faces) for x in face}
+    root = list(range(len(d.faces)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for x in lifted:
+        root[find(face_of[x])] = find(face_of[partner[x]])
+    steps: dict = {}  # merged face -> [(dart, merged face across its edge)]
+    for x, i in face_of.items():
+        if x not in lifted:
+            steps.setdefault(find(i), []).append((x, find(face_of[partner[x]])))
+    dist = {find(face_of[ends[run[-1]][0]]): 0}
+    layer = list(dist)
+    while layer and dist[layer[0]] + 1 < len(run) - 1:
+        nxt = []
+        for i in layer:
+            for _, j in steps.get(i, ()):
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    nxt.append(j)
+        layer = nxt
+    here = find(face_of[ends[run[0]][0]])
+    if here not in dist:
+        return None
+    route = []
+    while dist[here]:
+        x, here = min(
+            (x, j) for x, j in steps[here] if dist.get(j) == dist[here] - 1
+        )
+        route.append(x)
+
+    over_run = ends[run[0]][1] % 4 in (1, 3)
+    ed = Editor.from_diagram(d)
+    wired = []  # (sign, tail of the crossed edge once the run is gone)
+    for x in route:
+        label = d.crossings[x >> 2].edges[x & 3]
+        tail = ends[label][0]
+        from_right = x == tail
+        sign = 1 if from_right == over_run else -1
+        while tail >> 2 in crossings:
+            c, slot = divmod(tail, 4)
+            entry = strand_entry(d.crossings[c].sign, slot)
+            tail = ends[d.crossings[c].edges[entry]][0]
+        wired.append((sign, tail))
+    walk_smooth_out(ed, crossings)
+    arc = []  # the run's (entry, exit) at each new crossing
+    for sign, tail in wired:
+        c = 4 * ed.new_crossing(sign)
+        under = (c + 0, c + 2)
+        top = (c + 1, c + 3) if sign > 0 else (c + 3, c + 1)
+        crossed, pass_ = (under, top) if over_run else (top, under)
+        head = ed.disconnect(tail)
+        ed.connect(tail, crossed[0])
+        ed.connect(crossed[1], head)
+        arc.append(pass_)
+    tail = ends[run[0]][0]
+    head = ed.disconnect(tail)
+    for entry, exit_ in arc:
+        ed.connect(tail, entry)
+        tail = exit_
+    ed.connect(tail, head)
+    return ed.to_diagram()
+
+
+def reference_pickup(d):
+    """Pick up the first run that gets shorter and simplify greedily, until
+    no run gets shorter."""
+    while d.n:
+        for run in reference_runs(d):
+            picked = reference_pick_up(d, run)
+            if picked is not None:
+                d = reference_simplify_greedy(picked)
+                break
+        else:
+            break
+    return d
+
+
+def reference_span_floor(d) -> int:
+    """Span V of a knot diagram, read off the contraction oracle's bracket
+    (span V is a quarter of the bracket's span in A), where the package's
+    walk reads a floor: on diagrams with a crossing whose bracket frontier
+    is at most ``FINGERPRINT_WIDTH`` edge ends; else 0."""
+    if not d.n or _contraction_order(d)[1] > FINGERPRINT_WIDTH:
+        return 0
+    exps = [e for e, _ in reference_contraction_bracket(d)[0].terms]
+    return (max(exps) - min(exps)) // 4
+
+
 def reference_simplify_global(d, *, budget: int, seed: int, stall: int = 600):
+    """Greedy, then pickup, then a walk that ends only at 0 crossings or a
+    stall: a pickup result at or below span V returns without walking, and
+    replaces the walk's result only with fewer crossings."""
     rng = random.Random(seed)
     cur = reference_simplify_greedy(d)
+    if not budget:
+        return cur
+    picked = reference_pickup(cur) if cur.is_knot else cur
+    if not picked.n or (cur.is_knot and picked.n <= reference_span_floor(cur)):
+        return picked
     best = cur
     cap = max(cur.n + 8, 14)
     stale = 0
@@ -694,7 +835,7 @@ def reference_simplify_global(d, *, budget: int, seed: int, stall: int = 600):
             stale = 0
         else:
             stale += 1
-    return best
+    return picked if picked.n < best.n else best
 
 
 def reference_backtrack_randomize(d, steps: int, *, seed: int):

@@ -243,11 +243,13 @@ def test_final_step_must_unknot(table):
 def test_paper_certificate_fails_when_the_final_walk_is_cut_short(
     table, monkeypatch
 ):
-    # The final step walks its own diagram; fingerprints of small diagrams
-    # never walk, so only this walk's length decides the unknot verdict.
-    # Ending it at its first move that does not shrink the diagram cuts it
-    # short.
-    monkeypatch.setattr(moves, "STALL_MOVES", 1)
+    # The final step simplifies its own diagram; fingerprints of small
+    # diagrams never walk, so only this simplification decides the unknot
+    # verdict.  Pickup alone unknots it, so the cut comes before pickup:
+    # at budget 0 only the greedy pass runs.
+    monkeypatch.setattr(
+        certify, "simplify_global", lambda d: moves.simplify_global(d, budget=0)
+    )
     report = check_certificate(paper_certificate(), table)
     assert not report.passed
     assert "FAIL: final diagram only reduced to" in report.render()

@@ -18,6 +18,10 @@ fingerprints walk: it pins that both take the walk and finish without a
 ``skip``.  Every fingerprint field is a knot invariant, so it does not pin
 the walk's path; ``data/simplify.txt`` and
 ``test_full_length_walks_match_the_unfloored_reference`` do.
+``data/search_seed1.txt`` is the same search at seed 1, whose trial 8
+candidate is the heaviest of seeds 1-16: its greedy diagram has 135
+crossings, too wide for the floor, and its bracket is taken on the 103
+crossings that pickup leaves (the walk alone stalls at 123).
 ``data/invariants.txt`` holds ``gordian invariants`` of every
 bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
 ``identify`` example: it pins how each polynomial renders.
@@ -152,4 +156,11 @@ def test_walked_search_log_is_unchanged(capsys):
     argv = ["search", "--base", README_BASE, "--seed", "13", "--trials", "10"]
     assert main([*argv, "--k", "2"]) == 0
     expected = (DATA / "search_seed13.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+def test_heavy_search_log_is_unchanged(capsys):
+    argv = ["search", "--base", README_BASE, "--seed", "1", "--trials", "10"]
+    assert main([*argv, "--k", "2"]) == 0
+    expected = (DATA / "search_seed1.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -19,6 +19,7 @@ from gordian.invariants import (
     determinant,
     fingerprint,
     jones,
+    knot_invariants,
     signature,
     torus_diagram,
 )
@@ -42,6 +43,7 @@ from tests.conftest import (
     random_knot_word,
     random_link_diagram,
     reference_backtrack_randomize,
+    reference_pickup,
     reference_r3_moves,
     reference_reducing_moves,
     reference_simplify_global,
@@ -185,12 +187,25 @@ def test_simplify_skips_the_span_floor_at_budget_zero(monkeypatch):
 
 
 def test_simplify_stops_at_the_first_diagram_on_the_span_floor(monkeypatch):
-    # span V(7_1 # mirror 7_1) = 14: the base closure's walk ends at the
-    # move that first reaches 14 crossings.
+    # span V(7_1 # mirror 7_1) = 14: pickup takes the base closure's greedy
+    # diagram to 14 crossings, so it comes back with no walk move, only the
+    # moves of greedy and of pickup's greedy passes.
     sizes = _count_moves(monkeypatch)
-    s = simplify_global(braid_closure(BASE_BRAID), seed=0)
-    assert s.n == 14
-    assert sizes.index(14) == len(sizes) - 1
+    d = braid_closure(BASE_BRAID)
+    picked = moves._pickup(simplify_greedy(d))
+    expected = sizes[:]
+    sizes.clear()
+    s = simplify_global(d, seed=0)
+    assert s.n == 14 and pd_to_text(s) == pd_to_text(picked)
+    assert sizes == expected
+    # On this scramble of 7_1 pickup stops at 10 crossings, above span V =
+    # 7; the walk ends at the move that first reaches 7.
+    d = backtrack_randomize(realize_dt(parse_dt(dict(BUNDLED_CODES)["7_1"])), 60, seed=38)
+    assert moves._pickup(simplify_greedy(d)).n == 10
+    sizes.clear()
+    s = simplify_global(d, seed=0)
+    assert s.n == 7
+    assert sizes.index(7) == len(sizes) - 1
 
 
 def test_full_length_walks_match_the_unfloored_reference(rng):
@@ -210,6 +225,54 @@ def test_full_length_walks_match_the_unfloored_reference(rng):
         assert pd_to_text(simplify_global(d, seed=seed)) == pd_to_text(
             reference_simplify_global(d, budget=10_000, seed=seed)
         )
+
+
+def test_every_pickup_is_a_smaller_diagram_of_the_same_knot(rng, monkeypatch):
+    # Each run laid back leaves a valid diagram of the same knot with fewer
+    # crossings, on random knot closures and their scrambles; the whole
+    # pickup gives the same diagram as the rebuild-per-move reference.
+    real = moves._pick_up
+    picks = []
+
+    def checked(ed, run):
+        before = ed.to_diagram()
+        if not real(ed, run):
+            return False
+        after = ed.to_diagram()
+        assert validate_pd(after) == []
+        assert after.n < before.n
+        assert knot_invariants(after) == knot_invariants(before)
+        picks.append(before.n - after.n)
+        return True
+
+    monkeypatch.setattr(moves, "_pick_up", checked)
+    smaller = 0
+    for i in range(400):
+        d = braid_closure(random_knot_word(rng, 5, 24, 8))
+        if i % 2:
+            d = backtrack_randomize(d, rng.randint(5, 40), seed=rng.randrange(10**6))
+        g = simplify_greedy(d)
+        picked = moves._pickup(g)
+        assert pd_to_text(picked) == pd_to_text(reference_pickup(g))
+        smaller += picked.n < g.n
+    assert smaller >= 30 and len(picks) >= smaller
+
+
+def test_pickup_takes_only_knots_and_never_runs_at_budget_zero(rng, monkeypatch):
+    real = moves._pickup
+    picked = []
+    monkeypatch.setattr(moves, "_pickup", lambda d: picked.append(d) or real(d))
+    links = 0
+    for _ in range(150):
+        d = random_link_diagram(rng, max_strands=5, max_letters=12)
+        d = backtrack_randomize(d, rng.randint(0, 30), seed=rng.randrange(10**6))
+        assert pd_to_text(simplify_global(d, budget=0)) == pd_to_text(simplify_greedy(d))
+        assert picked == []
+        simplify_global(d, budget=rng.randint(1, 60), seed=rng.randrange(10**6))
+        assert len(picked) == d.is_knot
+        picked.clear()
+        links += not d.is_knot
+    assert links >= 50
 
 
 def test_simplify_trefoil_reaches_minimum(rng):
