@@ -87,8 +87,6 @@ def _render_presentation(p: Presentation) -> str:
 @dataclass(frozen=True)
 class StepReport:
     index: int
-    passed: bool
-    changes: int
     lines: tuple[str, ...]
 
 
@@ -210,7 +208,7 @@ def check_certificate(
                     f"  FAIL: final diagram only reduced to {result.n} crossings"
                 )
         prev_after = after
-        reports.append(StepReport(i, ok, len(step.change_indices), tuple(lines)))
+        reports.append(StepReport(i, tuple(lines)))
         if log is not None:
             for line in lines:
                 log(line)

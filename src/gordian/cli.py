@@ -25,7 +25,7 @@ from .codes import parse_dt, pd_to_dt, realize_dt, render_dt
 from .diagram import PDDiagram, pd_to_text
 from .errors import InputError, InternalError, ResourceError, UnrealizableError
 from .identify import KnotTableEntry, default_table, identify, load_table
-from .invariants import fingerprint, knot_invariants, murasugi_bound
+from .invariants import fingerprint, murasugi_bound
 from .moves import connected_sum, mirror, simplify_global
 from .search import SearchConfig, replay_line, run_pipeline
 
@@ -100,7 +100,7 @@ def cmd_convert(args, table: list[KnotTableEntry]) -> int:
 
 
 def cmd_invariants(args, table: list[KnotTableEntry]) -> int:
-    fp = knot_invariants(_resolve_input(args, table))
+    fp = fingerprint(_resolve_input(args, table))
     print(f"alexander: {fp.alexander.render()}")
     print(f"jones: {fp.jones.render()}")
     print(f"signature: {fp.signature:+d}")

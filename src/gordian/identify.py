@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, replace
 
 from .codes import DTCode, parse_dt, realize_dt, render_dt
-from .diagram import PDDiagram
 from .errors import InputError, UnrealizableError
 from .invariants import Fingerprint, fingerprint
 
@@ -132,13 +131,12 @@ def default_table() -> list[KnotTableEntry]:
 
 
 def identify(
-    d: PDDiagram | Fingerprint, table: list[KnotTableEntry]
+    fp: Fingerprint, table: list[KnotTableEntry]
 ) -> tuple[str, str] | None:
-    """The name in ``table`` matching ``d`` and the chirality that
-    matched, or None.  At most one entry matches, since ``_admit``
-    refuses two names whose fingerprints agree up to mirror; an
+    """The name in ``table`` matching the fingerprint ``fp`` and the
+    chirality that matched, or None.  At most one entry matches, since
+    ``_admit`` refuses two names whose fingerprints agree up to mirror; an
     amphichiral knot matches as listed."""
-    fp = d if isinstance(d, Fingerprint) else fingerprint(d)
     fp_mirror = fp.mirrored()
     for entry in table:
         if fp == entry.fingerprint:

@@ -383,10 +383,10 @@ def determinant(x: PDDiagram | BraidWord) -> int:
     return abs(int(alexander(x)(-1)))
 
 
-def murasugi_bound(x: PDDiagram | BraidWord | int) -> int:
-    """Lower bound for the unknotting number: ``ceil(|signature| / 2)``."""
-    s = x if isinstance(x, int) else signature(x)
-    return (abs(s) + 1) // 2
+def murasugi_bound(sigma: int) -> int:
+    """Lower bound for the unknotting number from the signature ``sigma``:
+    ``ceil(|sigma| / 2)``."""
+    return (abs(sigma) + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +394,9 @@ def murasugi_bound(x: PDDiagram | BraidWord | int) -> int:
 # ---------------------------------------------------------------------------
 
 # Widest bracket frontier, in edge ends, on which a fingerprint skips the
-# walk and the walk reads its span V floor.  Twelve ends have at most 11!!
-# = 10395 matchings, so the bracket is cheap and within MAX_FRONTIER_STATES.
-# Past it, a greedy search candidate's invariants can cost several walks.
+# walk.  Twelve ends have at most 11!! = 10395 matchings, so the bracket is
+# cheap and within MAX_FRONTIER_STATES.  Past it, a greedy search
+# candidate's invariants can cost several walks.
 FINGERPRINT_WIDTH = 12
 
 
@@ -459,7 +459,7 @@ def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
     if isinstance(d, BraidWord):
         d = braid_closure(d)
     if not d.is_knot:
-        raise InputError("fingerprint expects a one-component diagram")
+        raise InputError("expected a one-component diagram")
     g = simplify_greedy(d)
     if _contraction_order(g)[1] > FINGERPRINT_WIDTH:
         g = simplify_global(g)

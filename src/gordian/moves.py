@@ -7,10 +7,8 @@ greedy and walked simplification, and the scramble) instead copy their
 input into one ``Editor``, rewrite it in place and relabel once at the
 end; Vogel braiding in :mod:`gordian.braid` rewrites one editor too and
 reads its braid off that editor, never relabelling it.  Site finding and
-``apply_move`` take either form; a diagram is copied into an editor that
-keeps its crossing ids and edge-label order, so both forms give the same
-sites in the same order.  A ``Move`` is bound to the diagram or editor
-state it was found on and is not meaningful for any other.
+``apply_move`` take an editor.  A ``Move`` is bound to the editor state it
+was found on and is not meaningful for any other.
 
 Site discovery works on faces, which an editor keeps across its rewrites.
 A kink (reducible R1 site) is an edge whose two ends meet the same
@@ -29,9 +27,10 @@ than enumerated.
 moves and keeps a triangle slide only if it exposes one.  Strand pickup
 then lifts a knot's maximal over- or under-runs, each laid back along a
 shortest route through the dual graph when that route crosses fewer
-edges.  Its result stands if it has no crossing or at most span V of them,
-the Jones-span floor.  Otherwise the randomized walk runs from the greedy
-diagram, and the smaller of the two results wins, the walk's on a tie.
+edges.  Its result stands if ``_is_minimal`` finds that no diagram of the
+knot has fewer crossings.  Otherwise the randomized walk runs from the
+greedy diagram, and the smaller of the two results wins, the walk's on a
+tie.
 Pickup rewrites an editor with ``smooth_out`` and ``thread`` rather than
 ``apply_move``.
 """
@@ -87,10 +86,6 @@ def mirror(d: PDDiagram) -> PDDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _editor(x: PDDiagram | Editor) -> Editor:
-    return x if isinstance(x, Editor) else Editor.from_diagram(x)
-
-
 def _keeps_level(adj: dict[Dart, Dart], dart: Dart) -> bool:
     """Whether the edge at ``dart`` is over at both ends or under at both
     (over slots are odd)."""
@@ -132,15 +127,14 @@ def _has_reducing_site(ed: Editor) -> bool:
     )
 
 
-def find_reducing_moves(x: PDDiagram | Editor) -> list[Move]:
+def find_reducing_moves(ed: Editor) -> list[Move]:
     """Every reducing site: reducible R2 sites in face order, then R1
     sites in edge-label order."""
-    return list(_reducing_sites(_editor(x)))
+    return list(_reducing_sites(ed))
 
 
-def find_r3_moves(x: PDDiagram | Editor) -> list[Move]:
+def find_r3_moves(ed: Editor) -> list[Move]:
     """Triangle slide sites: ``site == (face, p)`` slides edge ``face[p]``."""
-    ed = _editor(x)
     moves: list[Move] = []
     for face in ed.faces_of_size(3):
         if len({d >> 2 for d in face}) != 3:
@@ -186,13 +180,8 @@ def _slide(adj: dict[Dart, Dart], site: tuple) -> dict[Dart, Dart]:
     return pairs
 
 
-def apply_move(x: PDDiagram | Editor, move: Move) -> PDDiagram | Editor:
-    """Make ``move`` at its site.
-
-    A diagram is left alone and the result comes back as a new, relabelled
-    diagram; an editor is rewritten in place and returned.
-    """
-    ed = _editor(x)
+def apply_move(ed: Editor, move: Move) -> None:
+    """Make ``move`` at its site, rewriting ``ed`` in place."""
     if move.kind in ("R1-", "R2-"):
         # A reducing site is the crossings it deletes.
         ed.smooth_out(move.site)
@@ -219,7 +208,6 @@ def apply_move(x: PDDiagram | Editor, move: Move) -> PDDiagram | Editor:
         ed.thread(tb, (u2, u1) if fa == fb else (u1, u2))
     else:
         raise InputError(f"unknown move kind {move.kind!r}")
-    return ed if ed is x else ed.to_diagram()
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +215,8 @@ def apply_move(x: PDDiagram | Editor, move: Move) -> PDDiagram | Editor:
 # ---------------------------------------------------------------------------
 
 
-def sample_increasing_move(x: PDDiagram | Editor, rng: random.Random) -> Move | None:
+def sample_increasing_move(ed: Editor, rng: random.Random) -> Move | None:
     """A random R1 or R2 increase, or None for a bare-loop diagram."""
-    ed = _editor(x)
     if not ed.signs:
         return None
     if rng.random() < 0.5:
@@ -419,6 +406,26 @@ def _pickup(d: PDDiagram) -> PDDiagram:
     return ed.to_diagram() if changed else d
 
 
+def _is_minimal(d: PDDiagram) -> bool:
+    """Whether no diagram of ``d``'s knot has fewer crossings, read off its
+    Gauss sequence: no prime summand (see ``deconnect_sum``) has just one
+    crossing, which is nugatory, or an edge that keeps its level.
+
+    A reduced alternating diagram has span V crossings, a prime
+    non-alternating one more, and no knot diagram fewer (Kauffman,
+    Murasugi, Thistlethwaite); span V adds under connected sum.  So on a
+    knot this holds exactly at span V crossings.  A link passes only with
+    no crossing.
+    """
+    if not d.is_knot:
+        return not d.n
+    for part in deconnect_sum(d):
+        adj = part.dart_partner
+        if part.n == 1 or any(_keeps_level(adj, x) for x in adj):
+            return False
+    return True
+
+
 # Moves in a row without a smaller diagram after which a walk has stalled.
 STALL_MOVES = 600
 
@@ -431,42 +438,32 @@ def simplify_global(
 
     At budget 0 the greedy diagram comes back.  Otherwise a knot's runs are
     picked up on a copy of the greedy diagram (see ``_pick_up``), and that
-    result returns at once when it has no crossing, or when it has at most
-    span V crossings: no diagram of a knot has fewer crossings than span V,
-    the span of its Jones polynomial (Kauffman, Murasugi, Thistlethwaite).
-    The floor is read off the greedy diagram when its bracket frontier is
-    at most ``FINGERPRINT_WIDTH`` edge ends, and is 0 otherwise.
+    result returns at once when ``_is_minimal`` accepts it.
 
     Otherwise the walk starts from the greedy diagram.  It mostly descends
     (taking reducing moves when available, triangle slides otherwise) but
-    occasionally explores through increasing moves.  It ends at a diagram
-    of span V crossings, after ``STALL_MOVES`` moves in a row that do not
-    improve on the best diagram, or after ``budget`` moves, whichever comes
-    first.  The pickup result replaces the walk's smallest diagram only if
-    it has fewer crossings.  Deterministic in ``seed``.  The walk rewrites
-    one editor and relabels only when it records a new best diagram.
+    occasionally explores through increasing moves.  It ends at a smaller
+    diagram that ``_is_minimal`` accepts, after ``STALL_MOVES`` moves in a
+    row that do not improve on the best diagram, or after ``budget`` moves,
+    whichever comes first.  The pickup result replaces the walk's smallest
+    diagram only if it has fewer crossings.  Deterministic in ``seed``.
+    The walk rewrites one editor and relabels only when it records a new
+    best diagram.
     """
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    from .invariants import FINGERPRINT_WIDTH, _contraction_order, jones
     best = simplify_greedy(d)
     if not budget:
         return best
     picked = _pickup(best) if best.is_knot else best
-    if not picked.n:
-        return picked
-    floor = 0
-    if best.is_knot and _contraction_order(best)[1] <= FINGERPRINT_WIDTH:
-        v = jones(best)
-        floor = v.max_exp() - v.min_exp()
-    if picked.n <= floor:
+    if _is_minimal(picked):
         return picked
     rng = random.Random(seed)
     ed = Editor.from_diagram(best)
     cap = max(best.n + 8, 14)
     stale = 0
     for _ in range(budget):
-        if best.n <= floor or stale == STALL_MOVES:
+        if stale == STALL_MOVES:
             break
         move = None
         reducing = next(_reducing_sites(ed), None)
@@ -487,6 +484,8 @@ def simplify_global(
         apply_move(ed, move)
         if len(ed.signs) < best.n:
             best = ed.to_diagram()
+            if _is_minimal(best):
+                break
             stale = 0
         else:
             stale += 1

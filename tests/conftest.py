@@ -73,11 +73,11 @@ def random_link_diagram(
     return braid_closure(BraidWord.from_letters(letters, strands))
 
 
-def sites_by_kind(d) -> dict[str, list]:
-    """Every kink, reducible bigon and triangle site of ``d``, grouped by
+def sites_by_kind(ed: Editor) -> dict[str, list]:
+    """Every kink, reducible bigon and triangle site of ``ed``, grouped by
     move kind in the order "R1-", "R2-", "R3"."""
-    grouped = {"R1-": [], "R2-": [], "R3": find_r3_moves(d)}
-    for move in find_reducing_moves(d):
+    grouped = {"R1-": [], "R2-": [], "R3": find_r3_moves(ed)}
+    for move in find_reducing_moves(ed):
         grouped[move.kind].append(move)
     return grouped
 
@@ -638,6 +638,14 @@ def reference_r3(d, site):
     return ed.to_diagram()
 
 
+def moved(d, move):
+    """``d`` after ``move``, made by ``apply_move`` on an editor copy of
+    ``d`` and relabelled."""
+    ed = Editor.from_diagram(d)
+    apply_move(ed, move)
+    return ed.to_diagram()
+
+
 def reference_apply(d, move):
     if move.kind == "R3":
         return reference_r3(d, move.site)
@@ -645,7 +653,7 @@ def reference_apply(d, move):
         return wired_r1_plus(d, move.site)
     if move.kind == "R2+":
         return wired_push_arc_over(d, *move.site)
-    return apply_move(d, move)  # R1- and R2-: one smooth_out
+    return moved(d, move)  # R1- and R2-: one smooth_out
 
 
 def reference_reduce_fully(d):
@@ -787,9 +795,10 @@ def reference_pickup(d):
 
 def reference_span_floor(d) -> int:
     """Span V of a knot diagram, read off the contraction oracle's bracket
-    (span V is a quarter of the bracket's span in A), where the package's
-    walk reads a floor: on diagrams with a crossing whose bracket frontier
-    is at most ``FINGERPRINT_WIDTH`` edge ends; else 0."""
+    (span V is a quarter of the bracket's span in A), on diagrams with a
+    crossing whose bracket frontier is at most ``FINGERPRINT_WIDTH`` edge
+    ends; else 0.  The package's walk stops on a test of the Gauss
+    sequence instead, which holds on a knot exactly at span V crossings."""
     if not d.n or _contraction_order(d)[1] > FINGERPRINT_WIDTH:
         return 0
     exps = [e for e, _ in reference_contraction_bracket(d)[0].terms]

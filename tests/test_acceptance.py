@@ -23,6 +23,7 @@ from gordian.certify import (
 )
 from gordian.cli import main
 from gordian.codes import flip_entries, parse_dt, pd_to_dt, realize_dt
+from gordian.diagram import Editor
 from gordian.errors import InputError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
@@ -130,7 +131,7 @@ def test_criterion_3_identification_chain(table):
 def test_criterion_4_murasugi_and_torus_arithmetic(table):
     with _verdict(4, "u(7_1) = 3: murasugi_bound(T(2,7)) = 3 and a 3-change certificate"):
         t27 = BraidWord.from_letters((1,) * 7, 2)
-        assert murasugi_bound(t27) == 3
+        assert murasugi_bound(signature(t27)) == 3
         (entry,) = [e for e in table if e.name == "7_1"]
         assert murasugi_bound(entry.fingerprint.signature) == 3
         report = check_certificate(certify._unknotting_certificate_7_1(), table)
@@ -158,15 +159,17 @@ def test_criterion_6_property_suites():
             d = random_knot_diagram(rng, max_crossings=12)
             fp = fingerprint(d)
             for _ in range(3):
-                grouped = sites_by_kind(d)
+                ed = Editor.from_diagram(d)
+                grouped = sites_by_kind(ed)
                 kinds = [k for k, ms in grouped.items() if ms]
                 if kinds and rng.random() < 0.6:
                     move = rng.choice(grouped[rng.choice(kinds)])
                 else:
-                    move = sample_increasing_move(d, rng)
+                    move = sample_increasing_move(ed, rng)
                 if move is None:
                     break
-                nxt = apply_move(d, move)
+                apply_move(ed, move)
+                nxt = ed.to_diagram()
                 if nxt.n > 16:
                     continue
                 d = nxt

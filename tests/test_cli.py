@@ -18,6 +18,7 @@ from gordian.invariants import alexander, fingerprint, jones
 from gordian.laurent import LaurentPoly
 from gordian.moves import mirror
 from gordian.search import SearchConfig, run_pipeline
+from tests.test_golden import heavy_braid
 
 
 def run(capsys, *argv):
@@ -99,8 +100,9 @@ def test_name_expression_mirror_and_sum(capsys):
 
 
 def test_invariants_of_30_crossing_sum_multiply(capsys):
-    # 30 crossings, evaluated as given: the invariants of a connected sum
-    # are the products of the summands' invariants.
+    # 30 crossings, fingerprinted after greedy simplification: the
+    # invariants of a connected sum are the products of the summands'
+    # invariants.
     code, out, _ = run(capsys, "invariants", "--name", "7_1#~7_1#7_1")
     assert code == 0
     assert "simplified from" not in out
@@ -119,10 +121,21 @@ def test_invariants_of_30_crossing_sum_multiply(capsys):
 
 def test_frontier_state_bound_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", 4)
-    code, _, err = run(capsys, "invariants", "--name", "7_1#~7_1#7_1")
+    code, _, err = run(capsys, "invariants", "--name", "K14a18636")
     assert code == 1
     assert err.startswith("resource limit: ")
     assert "Traceback" not in err
+
+
+def test_invariants_of_a_long_braid_are_those_of_its_knot(capsys):
+    # Seed 1 trial 8's braid closes to 295 crossings of 7_1 # mirror 7_1,
+    # far too wide for a bracket as given.  Its fingerprint simplifies
+    # first, so the block is the one of the bundled sum's diagram.
+    braid = heavy_braid()
+    assert braid.count(",") == 294
+    code, out, err = run(capsys, "invariants", "--braid", braid)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "invariants", "--name", "7_1#~7_1")[1]
 
 
 def test_unknown_name_lists_table(capsys):

@@ -410,9 +410,11 @@ def test_reducing_moves_preserve_component_count(rng):
         d = random_knot_diagram(rng, max_crossings=10)
         total = d.component_count
         while True:
-            moves = find_reducing_moves(d)
+            ed = Editor.from_diagram(d)
+            moves = find_reducing_moves(ed)
             if not moves:
                 break
-            d = apply_move(d, moves[0])
+            apply_move(ed, moves[0])
+            d = ed.to_diagram()
             assert d.component_count == total
             assert validate_pd(d) == []

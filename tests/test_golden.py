@@ -20,10 +20,11 @@ the walk's path; ``data/simplify.txt`` and
 ``test_full_length_walks_match_the_unfloored_reference`` do.
 ``data/search_seed1.txt`` is the same search at seed 1, whose trial 8
 candidate is the heaviest of seeds 1-16: its greedy diagram has 135
-crossings, too wide for the floor, and its bracket is taken on the 103
-crossings that pickup leaves (the walk alone stalls at 123).
+crossings, too wide for the fingerprint's gate, and its bracket is taken
+on the 103 crossings that pickup leaves (the walk alone stalls at 123).
 ``data/invariants.txt`` holds ``gordian invariants`` of every
-bundled name, of ``~7_1`` and of ``7_1#~7_1``, and the README's
+bundled name, of ``~7_1``, of ``7_1#~7_1`` and of seed 1 trial 8's
+295-letter braid, whose closure is that sum, and the README's
 ``identify`` example: it pins how each polynomial renders.
 ``data/simplify.txt`` holds ``gordian simplify`` of every bundled name, of
 ``7_1#~7_1``, of the README base braid and of T(2,19) as a 2-strand braid:
@@ -45,6 +46,13 @@ from gordian.identify import BUNDLED_CODES, default_table, save_table
 
 DATA = Path(__file__).resolve().parent / "data"
 README_BASE = "BRAID:[1,-4,2,3,3,3,2,3,2,2,4,-3,-3,-3,-3,-1,-3,-2,-3,-3]"
+
+
+def heavy_braid() -> str:
+    """The braid of seed 1 trial 8 in ``data/search_seed1.txt``, as
+    ``--braid`` reads it."""
+    line = (DATA / "search_seed1.txt").read_text(encoding="utf-8").splitlines()[8]
+    return "BRAID:" + line.split(" ")[2]
 
 
 def _convert_commands() -> list[list[str]]:
@@ -69,6 +77,7 @@ def _convert_braid_commands() -> list[list[str]]:
 def _invariants_commands() -> list[list[str]]:
     names = [*dict.fromkeys(name for name, _ in BUNDLED_CODES), "~7_1", "7_1#~7_1"]
     commands = [["invariants", "--name", name] for name in names]
+    commands.append(["invariants", "--braid", heavy_braid()])
     return commands + [["identify", "--braid", "BRAID:[-1,-1,-1,-1,-1,-1,-1]"]]
 
 

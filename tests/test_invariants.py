@@ -17,13 +17,15 @@ Signature and determinant are checked against ``goeritz_signature``
 (Gordon-Litherland), which reads the diagram's checkerboard faces and no
 Seifert matrix.  The
 span of the Jones polynomial is checked against the crossing count of
-random diagrams, the bound (Kauffman, Murasugi, Thistlethwaite) on which
-the simplification walk ends.
+random diagrams, the bound (Kauffman, Murasugi, Thistlethwaite) behind the
+simplifier's minimality test, and that test, which reads only the Gauss
+sequence, against span V.
 """
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -31,11 +33,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gordian import invariants
+from gordian import invariants, moves
 from gordian.braid import BraidWord, braid_closure
 from gordian.certify import BASE_BRAID
 from gordian.codes import parse_dt, realize_dt
-from gordian.diagram import PDDiagram
+from gordian.diagram import Crossing, Editor, PDDiagram, interlacement, pd_to_text
 from gordian.errors import InputError, ResourceError, UnrealizableError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
@@ -56,7 +58,9 @@ from gordian.invariants import (
 from gordian.laurent import LaurentPoly
 from gordian.moves import (
     backtrack_randomize,
+    connected_sum,
     crossing_change,
+    mirror,
     simplify_global,
     simplify_greedy,
 )
@@ -367,8 +371,8 @@ def _realized(code) -> PDDiagram | None:
     st.integers(0, 10**6),
 )
 def test_jones_span_is_at_most_the_crossing_count(d, steps, seed):
-    # span V <= n on every n-crossing knot diagram, scrambled or not: the
-    # floor at which simplify_global ends its walk.
+    # span V <= n on every n-crossing knot diagram, scrambled or not: no
+    # diagram of the knot has fewer crossings than span V.
     for x in (d, backtrack_randomize(d, steps, seed=seed)):
         assert _span(x) <= x.n, x.crossings
 
@@ -380,6 +384,60 @@ def test_jones_span_equals_the_crossing_count_on_minimal_diagrams():
     assert seven_one.n == _span(seven_one) == 7
     base = simplify_global(braid_closure(BASE_BRAID), seed=0)
     assert base.n == _span(base) == 14
+
+
+def _kink_between(a: PDDiagram, b: PDDiagram) -> PDDiagram:
+    """kink # a # b, with ``b`` joined along the kink's remaining loop: for
+    ``a`` and ``b`` with no kink, a nugatory crossing that is no kink."""
+    x = connected_sum(braid_closure(BraidWord.from_letters((1,), 2)), a)
+    (face,) = Editor.from_diagram(x).faces_of_size(1)
+    loop, low = x.crossings[face[0] >> 2].edges[face[0] & 3], min(x.edge_ends)
+    swap = {loop: low, low: loop}  # connected_sum joins the lowest labels
+    x = PDDiagram(tuple(
+        Crossing(tuple(swap.get(e, e) for e in c.edges), c.sign) for c in x.crossings
+    ))
+    return connected_sum(x, b)
+
+
+def test_minimality_test_holds_exactly_on_diagrams_of_span_v_crossings(rng):
+    # The simplifier stops on _is_minimal, read off the Gauss sequence.  On
+    # narrow knot diagrams it must hold exactly when n = span V: random
+    # closures with their greedy and pickup results, scrambles and short
+    # walks of the knotted table codes, connected sums with and without a
+    # mirror, and kink # a # b, whose nugatory crossing is no kink.
+    diagrams = []
+    for _ in range(150):
+        d = braid_closure(random_knot_word(rng, 5, 24, 6))
+        g = simplify_greedy(d)
+        diagrams += [d, g, moves._pickup(g)]
+    for _, code in BUNDLED_CODES[1:]:
+        for _ in range(10):
+            s = backtrack_randomize(
+                realize_dt(parse_dt(code)), rng.randint(5, 30), seed=rng.randrange(10**6)
+            )
+            walked = simplify_global(s, budget=rng.randint(1, 60), seed=rng.randrange(10**6))
+            diagrams += [s, walked]
+    summands = [simplify_greedy(braid_closure(random_knot_word(rng, 4, 8))) for _ in range(200)]
+    summands = [g for g in summands if g.n]
+    for _ in range(100):
+        a, b = rng.sample(summands, 2)
+        diagrams += [connected_sum(a, b), connected_sum(a, mirror(b))]
+        diagrams.append(_kink_between(a, mirror(b) if rng.random() < 0.5 else b))
+    seen = Counter()
+    for d in diagrams:
+        if _contraction_order(d)[1] > FINGERPRINT_WIDTH:
+            continue
+        minimal = moves._is_minimal(d)
+        assert minimal == (d.n == _span(d)), d.crossings
+        sequence = [d.edge_ends[e][1] >> 2 for e in d.components[0]] if d.n else []
+        nugatory = 0 in interlacement(sequence)[0]
+        assert not (minimal and nugatory)
+        seen["diagrams"] += 1
+        seen["minimal"] += minimal
+        seen["nugatory"] += nugatory
+        seen["nugatory, no kink"] += nugatory and not Editor.from_diagram(d).faces_of_size(1)
+    assert seen["diagrams"] >= 800 and seen["minimal"] >= 300, seen
+    assert seen["nugatory"] >= 120 and seen["nugatory, no kink"] >= 80, seen
 
 
 def test_jones_leaves_numpy_unimported():
@@ -470,8 +528,8 @@ def test_seifert_pairing_is_unimodular(rng):
 
 
 def test_murasugi_bound():
-    assert murasugi_bound(T27) == 3
-    assert murasugi_bound(braid_closure(BraidWord((), 1))) == 0
+    assert murasugi_bound(signature(T27)) == 3
+    assert murasugi_bound(signature(braid_closure(BraidWord((), 1)))) == 0
     assert murasugi_bound(5) == 3
     assert murasugi_bound(-6) == 3
 
@@ -608,17 +666,19 @@ def test_gate_admits_only_diagrams_within_the_state_bound(gate_corpus, monkeypat
         knot_invariants(g)
 
 
-def test_walk_reads_its_span_floor_only_within_the_gate(gate_corpus, monkeypatch):
-    # The walk computes Jones once, on its greedy diagram, only when that is
-    # a knotted diagram within the gate; a wide one walks with no bracket.
+def test_simplify_takes_no_bracket(gate_corpus, monkeypatch):
+    # The simplifier learns where it may stop from the Gauss sequence, so
+    # at no budget does it take a bracket, on diagrams within the gate or
+    # wider; at budget 0 the greedy diagram comes back.
+    real = invariants.kauffman_bracket
     calls = []
-
-    def counting(d):
-        calls.append(d)
-        return jones(d)
-
-    monkeypatch.setattr(invariants, "jones", counting)
-    for d, g, w in gate_corpus:
-        calls.clear()
-        simplify_global(d, budget=50)
-        assert calls == ([g] if g.n and w <= FINGERPRINT_WIDTH else [])
+    monkeypatch.setattr(
+        invariants, "kauffman_bracket", lambda d: calls.append(d.n) or real(d)
+    )
+    corpus = [(torus_diagram(7), torus_diagram(7)), *((d, g) for d, g, _ in gate_corpus)]
+    for d, g in corpus:
+        assert pd_to_text(simplify_global(d, budget=0)) == pd_to_text(g)
+        for budget in (1, 50):
+            simplify_global(d, budget=budget)
+        simplify_global(d)
+    assert calls == []
