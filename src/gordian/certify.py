@@ -190,9 +190,8 @@ def check_certificate(
         last = i == len(cert.steps) - 1
         must_unknot = last and step.claimed_after in (None, "unknot")
         if must_unknot:
-            # Walk here, not inside fingerprint: the crossing count of the
-            # walked diagram is the verdict, and its invariants need no
-            # second walk.
+            # Walk here: the crossing count of the walked diagram is the
+            # verdict, and its invariants are read off it as it stands.
             result = simplify_global(realize(flipped))
             after = knot_invariants(result)
         else:

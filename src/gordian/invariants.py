@@ -25,7 +25,7 @@ from .braid import BraidWord, braid_closure, vogel_braid
 from .diagram import Dart, PDDiagram
 from .errors import InputError, InternalError, ResourceError
 from .laurent import LaurentPoly
-from .moves import simplify_global, simplify_greedy
+from .moves import _pickup, simplify_greedy
 
 # Live matchings on the contraction frontier.  Diagrams met in practice
 # stay far below this (a few thousand on a 10-strand, 100-letter braid);
@@ -393,13 +393,6 @@ def murasugi_bound(sigma: int) -> int:
 # fingerprints
 # ---------------------------------------------------------------------------
 
-# Widest bracket frontier, in edge ends, on which a fingerprint skips the
-# walk.  Twelve ends have at most 11!! = 10395 matchings, so the bracket is
-# cheap and within MAX_FRONTIER_STATES.  Past it, a greedy search
-# candidate's invariants can cost several walks.
-FINGERPRINT_WIDTH = 12
-
-
 @dataclass(frozen=True)
 class Fingerprint:
     """Bundle of exact invariants used for identification.
@@ -445,13 +438,11 @@ def knot_invariants(d: PDDiagram) -> Fingerprint:
 def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
     """Invariant fingerprint of a knot, computed on a simplified diagram.
 
-    Greedy simplification shrinks the diagram first.  Only when the
-    bracket frontier of the greedy diagram is wider than
-    ``FINGERPRINT_WIDTH`` edge ends does ``simplify_global``, on its own
-    default budget and always from seed 0, shrink it further, which keeps
-    the Vogel braid behind Alexander and signature short and the
-    bracket's frontier narrow.  Either way the result is a function of
-    the diagram alone.  A caller that has already walked its diagram calls
+    Greedy simplification shrinks the diagram, then strand pickup picks
+    up runs that get shorter, which keeps the Vogel braid behind
+    Alexander and signature short and the bracket's frontier narrow.
+    Neither step is random, so the result is a function of the diagram
+    alone.  A caller that has already simplified its diagram calls
     ``knot_invariants`` instead.  The bracket contraction raises
     ``ResourceError`` only past ``MAX_FRONTIER_STATES`` live frontier
     states.
@@ -460,10 +451,7 @@ def fingerprint(d: PDDiagram | BraidWord) -> Fingerprint:
         d = braid_closure(d)
     if not d.is_knot:
         raise InputError("expected a one-component diagram")
-    g = simplify_greedy(d)
-    if _contraction_order(g)[1] > FINGERPRINT_WIDTH:
-        g = simplify_global(g)
-    return knot_invariants(g)
+    return knot_invariants(_pickup(simplify_greedy(d)))
 
 
 # ---------------------------------------------------------------------------

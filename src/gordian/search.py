@@ -65,7 +65,7 @@ def evaluate_candidate(
     ``base`` or ``?``.
 
     The outcome depends on the braid and the flips alone: the fingerprint
-    walk takes no seed, so a log line replays without its trial's seed.
+    takes no random step, so a log line replays without its trial's seed.
     """
     fp = fingerprint(realize(braid, flips))
     match = identify(fp, table)

@@ -18,7 +18,6 @@ from gordian.diagram import (
 from gordian.errors import InternalError
 from gordian.invariants import (
     _SMOOTHINGS,
-    FINGERPRINT_WIDTH,
     _contraction_order,
     seifert_matrix,
 )
@@ -793,13 +792,19 @@ def reference_pickup(d):
     return d
 
 
+# Widest bracket frontier, in edge ends, on which tests read a bracket
+# oracle by default.  Twelve ends have at most 11!! = 10395 matchings, so the
+# oracle's bracket is cheap there.
+NARROW_WIDTH = 12
+
+
 def reference_span_floor(d) -> int:
     """Span V of a knot diagram, read off the contraction oracle's bracket
     (span V is a quarter of the bracket's span in A), on diagrams with a
-    crossing whose bracket frontier is at most ``FINGERPRINT_WIDTH`` edge
-    ends; else 0.  The package's walk stops on a test of the Gauss
+    crossing whose bracket frontier is at most ``NARROW_WIDTH`` edge ends;
+    else 0.  The package's walk stops on a test of the Gauss
     sequence instead, which holds on a knot exactly at span V crossings."""
-    if not d.n or _contraction_order(d)[1] > FINGERPRINT_WIDTH:
+    if not d.n or _contraction_order(d)[1] > NARROW_WIDTH:
         return 0
     exps = [e for e, _ in reference_contraction_bracket(d)[0].terms]
     return (max(exps) - min(exps)) // 4

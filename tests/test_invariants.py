@@ -26,8 +26,8 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +41,6 @@ from gordian.diagram import Crossing, Editor, PDDiagram, interlacement, pd_to_te
 from gordian.errors import InputError, ResourceError, UnrealizableError
 from gordian.identify import BUNDLED_CODES, default_table
 from gordian.invariants import (
-    FINGERPRINT_WIDTH,
     _contraction_order,
     _symmetric_signature,
     alexander,
@@ -65,6 +64,7 @@ from gordian.moves import (
     simplify_greedy,
 )
 from tests.conftest import (
+    NARROW_WIDTH,
     fox_alexander,
     fraction_signature,
     goeritz_signature,
@@ -425,7 +425,7 @@ def test_minimality_test_holds_exactly_on_diagrams_of_span_v_crossings(rng):
         diagrams.append(_kink_between(a, mirror(b) if rng.random() < 0.5 else b))
     seen = Counter()
     for d in diagrams:
-        if _contraction_order(d)[1] > FINGERPRINT_WIDTH:
+        if _contraction_order(d)[1] > NARROW_WIDTH:
             continue
         minimal = moves._is_minimal(d)
         assert minimal == (d.n == _span(d)), d.crossings
@@ -613,7 +613,7 @@ def test_fingerprint_render_is_one_token():
 
 
 # ---------------------------------------------------------------------------
-# the fingerprint's walk gate
+# the fingerprint on narrow and wide diagrams
 # ---------------------------------------------------------------------------
 
 
@@ -621,7 +621,7 @@ def test_fingerprint_render_is_one_token():
 def gate_corpus():
     """(diagram, greedy diagram, greedy frontier width) over the bundled
     codes, the paper's base closure and seeded random braids, the last
-    three of them large enough to straddle ``FINGERPRINT_WIDTH``."""
+    three of them large enough to straddle ``NARROW_WIDTH``."""
     rng = random.Random(20)
     words = [random_knot_word(rng) for _ in range(20)]
     words += [random_knot_word(rng, 14, 100, 80) for _ in range(3)]
@@ -647,26 +647,30 @@ def test_contraction_width_by_hand():
     assert _contraction_order(seven_one)[1] == 4
 
 
-def test_gated_fingerprint_equals_walked_invariants(gate_corpus):
+def test_fingerprint_equals_walked_invariants(gate_corpus):
     widths = [w for _, _, w in gate_corpus]
-    assert min(widths) <= FINGERPRINT_WIDTH < max(widths)
+    assert min(widths) <= NARROW_WIDTH < max(widths)
     for d, _, _ in gate_corpus:
         walked = simplify_global(d)
         assert fingerprint(d) == knot_invariants(walked)
 
 
-def test_gate_admits_only_diagrams_within_the_state_bound(gate_corpus, monkeypatch):
-    # A frontier of 2k edge ends bounding a disk carries at most Catalan(k)
-    # matchings, so every diagram the gate admits fits in that many states.
-    k = FINGERPRINT_WIDTH // 2
-    monkeypatch.setattr(invariants, "MAX_FRONTIER_STATES", comb(2 * k, k) // (k + 1))
-    admitted = [g for _, g, w in gate_corpus if w <= FINGERPRINT_WIDTH]
-    assert any(_contraction_order(g)[1] == FINGERPRINT_WIDTH for g in admitted)
-    for g in admitted:
-        knot_invariants(g)
+def test_fingerprint_takes_no_walk_on_a_wide_diagram(gate_corpus, monkeypatch):
+    # Greedy, then pickup, whatever the greedy diagram's width: the
+    # fingerprint starts no random walk and calls no simplify_global.
+    wide = [d for d, _, w in gate_corpus if w > NARROW_WIDTH]
+    assert wide
+    walked = [knot_invariants(simplify_global(d)) for d in wide]
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the fingerprint walked")
+
+    monkeypatch.setattr(moves, "simplify_global", walk)
+    monkeypatch.setattr(moves, "random", SimpleNamespace(Random=walk))
+    assert [fingerprint(d) for d in wide] == walked
 
 
-def test_walk_reads_its_span_floor_only_within_the_gate(gate_corpus, monkeypatch):
+def test_walk_takes_no_bracket_at_any_budget(gate_corpus, monkeypatch):
     # The walk's floor is the Gauss-sequence minimality test, so it takes no
     # bracket on the gate corpus, within the gate or wider, at any budget; at
     # budget 0 the greedy diagram comes back.

@@ -13,7 +13,6 @@ from gordian.diagram import Editor, pd_to_text, validate_pd
 from gordian.errors import InputError
 from gordian.identify import BUNDLED_CODES
 from gordian.invariants import (
-    FINGERPRINT_WIDTH,
     _contraction_order,
     alexander,
     determinant,
@@ -38,6 +37,7 @@ from gordian.moves import (
     simplify_greedy,
 )
 from tests.conftest import (
+    NARROW_WIDTH,
     editing_corpus,
     moved,
     random_knot_diagram,
@@ -171,7 +171,7 @@ def test_simplify_makes_no_move_on_a_diagram_at_its_span_floor(monkeypatch):
     assert sizes == []
 
 
-def test_simplify_skips_the_span_floor_at_budget_zero(monkeypatch):
+def test_simplify_takes_no_bracket_and_budget_zero_is_greedy(monkeypatch):
     # With no move to make, T(2,7) comes back at budget 0 as greedy left it;
     # the minimality test reads the Gauss sequence, so no budget takes a
     # bracket.
@@ -222,7 +222,7 @@ def test_full_length_walks_match_the_unfloored_reference(rng):
     while len(diagrams) < len(BUNDLED_CODES) + 11:
         d = braid_closure(random_knot_word(rng, 5, 24, 14))
         g = simplify_greedy(d)
-        if g.n and _contraction_order(g)[1] <= FINGERPRINT_WIDTH:
+        if g.n and _contraction_order(g)[1] <= NARROW_WIDTH:
             diagrams.append(d)
     for d in diagrams:
         seed = rng.randrange(10**6)
